@@ -40,8 +40,8 @@ use crate::watchdog::IncidentKind;
 /// `collector.gaps_open`, `fleet.hosts_up`, …); counters advance by delta
 /// against the campaign's own accumulators (`workload.runs_total`,
 /// `collector.attempts_total`, `faults.events_total`, …); collection
-/// attempts and healed-gap spans are gated by `collection_events`, fault
-/// and incident instants by `incident_events`.
+/// attempts, healed-gap spans and fault and incident instants are
+/// emitted only while the tracer keeps events.
 ///
 /// `netsim.retransmits` counts the collector's backoff-driven catch-up
 /// attempts — the campaign-level analog of transport retransmission,
@@ -53,8 +53,6 @@ struct TraceCursors {
     fault_cursor: usize,
     incident_cursor: usize,
     resolve_emitted: Vec<bool>,
-    runs_seen: u64,
-    hash_errors_seen: usize,
     registered: bool,
 }
 
@@ -66,16 +64,14 @@ impl TraceCursors {
             fault_cursor: 0,
             incident_cursor: 0,
             resolve_emitted: Vec::new(),
-            runs_seen: 0,
-            hash_errors_seen: 0,
             registered: false,
         }
     }
 
-    /// Sample one tick into the tracer. `hosts_up` is the
-    /// installed-and-running count the caller already computed in its
-    /// O(hosts) pass. No-op while the tracer is disabled.
-    fn sample(&mut self, ctx: &mut CampaignCtx, hosts_up: usize) {
+    /// Sample one tick into the tracer. `hosts_up` and the workload
+    /// deltas are what the caller already computed for this tick. No-op
+    /// while the tracer is disabled.
+    fn sample(&mut self, ctx: &mut CampaignCtx, hosts_up: usize, runs: u64, wrong_hashes: u64) {
         if !ctx.tracer.is_enabled() {
             return;
         }
@@ -108,19 +104,12 @@ impl TraceCursors {
         ctx.tracer.observe("tent.power_w_dist", ctx.tent_power_w);
 
         // Workload counters, by delta against the stats accumulator.
-        let runs = ctx.workload.total_runs();
+        ctx.tracer.counter_add("workload.runs_total", runs);
         ctx.tracer
-            .counter_add("workload.runs_total", runs - self.runs_seen);
-        self.runs_seen = runs;
-        let hash_errors = ctx.workload.hash_errors().len();
-        ctx.tracer.counter_add(
-            "workload.wrong_hashes_total",
-            (hash_errors - self.hash_errors_seen) as u64,
-        );
-        self.hash_errors_seen = hash_errors;
+            .counter_add("workload.wrong_hashes_total", wrong_hashes);
 
         // Collection attempts since the last tick.
-        let emit_collection = ctx.tracer.collection_events_enabled();
+        let emit_events = ctx.tracer.events_enabled();
         let history = ctx.collector.history();
         for rec in &history[self.collection_cursor..] {
             ctx.tracer.counter_add("collector.attempts_total", 1);
@@ -144,7 +133,7 @@ impl TraceCursors {
                     ("auth-failed", 0, 0)
                 }
             };
-            if emit_collection {
+            if emit_events {
                 let kind = match rec.kind {
                     AttemptKind::Scheduled => "scheduled",
                     AttemptKind::Retry => "retry",
@@ -170,7 +159,7 @@ impl TraceCursors {
         let gaps = ctx.collector.gaps();
         for gap in &gaps[self.gap_cursor..] {
             ctx.tracer.counter_add("collector.gaps_healed_total", 1);
-            if emit_collection {
+            if emit_events {
                 ctx.tracer.span(
                     &format!("host/{}", gap.host),
                     "collection-gap",
@@ -186,11 +175,10 @@ impl TraceCursors {
         self.gap_cursor = gaps.len();
 
         // Fault events since the last tick.
-        let emit_incidents = ctx.tracer.incident_events_enabled();
         let faults = &ctx.fault_events;
         for ev in &faults[self.fault_cursor..] {
             ctx.tracer.counter_add("faults.events_total", 1);
-            if emit_incidents {
+            if emit_events {
                 ctx.tracer.instant(
                     "faults",
                     "fault",
@@ -210,7 +198,7 @@ impl TraceCursors {
         self.resolve_emitted.resize(incidents.len(), false);
         for inc in &incidents[self.incident_cursor..] {
             ctx.tracer.counter_add("watchdog.incidents_opened", 1);
-            if emit_incidents {
+            if emit_events {
                 ctx.tracer.instant(
                     "watchdog",
                     "incident-open",
@@ -230,7 +218,7 @@ impl TraceCursors {
             if let Some(resolved) = inc.resolved {
                 self.resolve_emitted[i] = true;
                 ctx.tracer.counter_add("watchdog.incidents_resolved", 1);
-                if emit_incidents {
+                if emit_events {
                     ctx.tracer.instant(
                         "watchdog",
                         "incident-resolve",
@@ -328,8 +316,8 @@ fn placement_bucket(p: Placement) -> u8 {
 pub struct ObservePhase {
     cursors: TraceCursors,
     caches: Option<RollupCaches>,
-    slo_runs_seen: u64,
-    slo_bad_seen: usize,
+    runs_seen: u64,
+    hash_errors_seen: usize,
     resets_seen: u64,
     flight_incident_cursor: usize,
 }
@@ -340,8 +328,8 @@ impl ObservePhase {
         ObservePhase {
             cursors: TraceCursors::new(),
             caches: None,
-            slo_runs_seen: 0,
-            slo_bad_seen: 0,
+            runs_seen: 0,
+            hash_errors_seen: 0,
             resets_seen: 0,
             flight_incident_cursor: 0,
         }
@@ -370,7 +358,7 @@ impl TickPhase for ObservePhase {
         let t = ctx.now;
 
         if let Some(o) = obs.as_deref_mut() {
-            if o.rollups_enabled() && self.caches.is_none() {
+            if self.caches.is_none() {
                 let (caches, rollup) = RollupCaches::build(ctx);
                 o.init_rollup(rollup);
                 self.caches = Some(caches);
@@ -400,22 +388,27 @@ impl TickPhase for ObservePhase {
             }
         }
 
+        // Workload progress since the last tick, for both consumers.
+        let runs = ctx.workload.total_runs();
+        let hash_errors = ctx.workload.hash_errors().len();
+        let runs_delta = runs - self.runs_seen;
+        let bad_hash_delta = (hash_errors - self.hash_errors_seen) as u64;
+        self.runs_seen = runs;
+        self.hash_errors_seen = hash_errors;
+
         // Trace sampling (gauges, counters, ledger cursors).
-        self.cursors.sample(ctx, hosts_up);
+        self.cursors
+            .sample(ctx, hosts_up, runs_delta, bad_hash_delta);
 
         if let Some(o) = obs.as_deref_mut() {
             // Feed this tick's observations into the SLO engine.
-            let runs = ctx.workload.total_runs();
-            let bad = ctx.workload.hash_errors().len();
             let feed = SloFeed {
-                runs_delta: runs - self.slo_runs_seen,
-                bad_hash_delta: (bad - self.slo_bad_seen) as u64,
+                runs_delta,
+                bad_hash_delta,
                 open_gaps: ctx.collector.open_retries() as f64,
                 dew_margin_min_c: dew_margin_min_c(ctx),
                 resets_delta: resets_total - self.resets_seen,
             };
-            self.slo_runs_seen = runs;
-            self.slo_bad_seen = bad;
             self.resets_seen = resets_total;
             let events = o.slo_step(t, &feed);
 

@@ -568,7 +568,7 @@ impl TickPhase for HostStepPhase {
                 page_ops_since_poll[i] += outcome.page_ops;
                 hw.memory_record_page_ops(i, outcome.page_ops);
                 workload.record_run(plans[i].id, outcome.page_ops);
-                if tracer.host_spans_enabled() {
+                if tracer.events_enabled() {
                     tracer.span(
                         &format!("host/{}", plans[i].id),
                         "job-run",

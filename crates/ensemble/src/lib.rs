@@ -15,7 +15,8 @@
 //!   its worker into a [`CampaignProjection`] and folded through a
 //!   [`SweepFold`] into a [`Sweep`]: the summary, plus a metrics report
 //!   when the campaigns were traced and an alerts report when they were
-//!   observed. The farm and the service fold through the same types.
+//!   observed. The farm and the service fold through the same types,
+//!   and run each job through the same guarded [`run_job`].
 //! * [`aggregate::CampaignAggregate`] — streaming Welford / min-max /
 //!   histogram aggregation of compact [`CampaignSummary`](frostlab_core::results::CampaignSummary)
 //!   projections, so memory stays O(1) in the number of campaigns
@@ -49,4 +50,6 @@ pub use aggregate::{CampaignAggregate, EnsembleSummary};
 pub use alerts::{EnsembleAlerts, SeedAlerts};
 pub use engine::Ensemble;
 pub use metrics::{EnsembleMetrics, GaugeAggregate, MetricsAggregate};
-pub use sweep::{run_matrix_sweep, sweep, CampaignProjection, Sweep, SweepFold};
+pub use sweep::{
+    run_job, run_matrix_sweep, sweep, CampaignProjection, RunFailure, Sweep, SweepFold,
+};

@@ -7,12 +7,15 @@
 //! to a [`CampaignProjection`] and folds the projections through a
 //! [`SweepFold`]. So the summary and alert reports have one producer, and
 //! the same campaigns folded in the same order give the same bytes
-//! whichever path ran them.
+//! whichever path ran them. The farm's workers and the service's
+//! executor also run each single job the same way, through [`run_job`].
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use frostlab_core::results::{CampaignSummary, ExperimentResults};
-use frostlab_core::spec::{MatrixSpec, SpecError};
+use frostlab_core::spec::{JobSpec, MatrixSpec, SpecError};
 use frostlab_core::Scenario;
-use frostlab_trace::MetricsSnapshot;
+use frostlab_trace::{MetricsSnapshot, TraceConfig};
 
 use crate::aggregate::{CampaignAggregate, EnsembleSummary};
 use crate::alerts::{EnsembleAlerts, SeedAlerts};
@@ -150,11 +153,51 @@ pub fn run_matrix_sweep(matrix: &MatrixSpec, threads: usize) -> Result<EnsembleS
     Ok(swept.summary)
 }
 
+/// Why [`run_job`] produced no results.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunFailure {
+    /// The spec does not describe a runnable campaign.
+    Spec(SpecError),
+    /// The campaign panicked; the payload rendered to text.
+    Panic(String),
+}
+
+impl std::fmt::Display for RunFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunFailure::Spec(e) => write!(f, "spec error: {e}"),
+            RunFailure::Panic(m) => write!(f, "panic: {m}"),
+        }
+    }
+}
+
+/// Build `job`'s campaign — with the tracer armed
+/// ([`TraceConfig::default`]) when `traced` — and run it with panics
+/// caught, so one poison job fails typed instead of taking its worker
+/// down.
+pub fn run_job(job: &JobSpec, traced: bool) -> Result<ExperimentResults, RunFailure> {
+    catch_unwind(AssertUnwindSafe(|| {
+        let mut builder = job.scenario.builder(job.seed).map_err(RunFailure::Spec)?;
+        if traced {
+            builder = builder.with_tracing(TraceConfig::default());
+        }
+        Ok(builder.build().run())
+    }))
+    .unwrap_or_else(|payload| {
+        let text = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        Err(RunFailure::Panic(text))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use frostlab_core::config::ExperimentConfig;
-    use frostlab_core::ScenarioBuilder;
+    use frostlab_core::{ScenarioBuilder, ScenarioSpec};
     use frostlab_obs::ObsConfig;
     use frostlab_trace::TraceConfig;
 
@@ -179,5 +222,20 @@ mod tests {
         let seeds: Vec<u64> = alerts.per_seed.iter().map(|a| a.seed).collect();
         assert_eq!(seeds, [5, 6]);
         assert_eq!(observed.summary.threads_used, 2);
+    }
+
+    #[test]
+    fn run_job_fails_typed_on_bad_specs_and_panics() {
+        let job = |scenario| JobSpec { scenario, seed: 0 };
+        let bad = job(ScenarioSpec::new("x", 1, "atlantis"));
+        assert!(matches!(run_job(&bad, false), Err(RunFailure::Spec(_))));
+
+        let mut poison = ScenarioSpec::new("p", 1, "helsinki");
+        poison.poison = true;
+        let err = run_job(&job(poison), false).expect_err("poison panics");
+        assert!(err.to_string().starts_with("panic: poison phase detonated"));
+
+        let traced = run_job(&job(ScenarioSpec::new("t", 1, "helsinki")), true).expect("runs");
+        assert!(traced.trace.is_some());
     }
 }

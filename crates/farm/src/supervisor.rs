@@ -32,7 +32,6 @@
 
 use std::collections::VecDeque;
 use std::fs;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -40,7 +39,7 @@ use std::time::Duration;
 
 use frostlab_core::watchdog::{IncidentKind, IncidentRecord};
 use frostlab_core::{JobSpec, MatrixSpec};
-use frostlab_ensemble::{CampaignProjection, Ensemble, EnsembleSummary, Sweep, SweepFold};
+use frostlab_ensemble::{run_job, CampaignProjection, Ensemble, EnsembleSummary, Sweep, SweepFold};
 use frostlab_trace::export::to_prometheus;
 use frostlab_trace::MetricsRegistry;
 
@@ -584,13 +583,9 @@ fn process_job(
         return Ok(JobOutcome::Cached);
     }
 
-    let attempt_result = catch_unwind(AssertUnwindSafe(|| {
-        spec.scenario
-            .build(spec.seed)
-            .map(|scenario| CampaignProjection::of(&scenario.run()))
-    }));
-    let note = match attempt_result {
-        Ok(Ok(projection)) => {
+    let note = match run_job(spec, false) {
+        Ok(results) => {
+            let projection = CampaignProjection::of(&results);
             if let Some(alerts) = &projection.alerts {
                 store.put_alerts(key, worker, alerts)?;
             }
@@ -598,8 +593,7 @@ fn process_job(
             lock(wal).append(&WalRecord::complete(epoch, worker, job, false))?;
             return Ok(JobOutcome::Ran);
         }
-        Ok(Err(spec_err)) => format!("spec error: {spec_err}"),
-        Err(panic) => format!("panic: {}", panic_message(&panic)),
+        Err(failure) => failure.to_string(),
     };
 
     let attempts = {
@@ -633,16 +627,6 @@ fn quarantine_incident(spec: &JobSpec, key: &str, attempts: u64, note: &str) -> 
         started: format!("unix_ms:{}", now_unix_ms()),
         resolved: Some(format!("unix_ms:{}", now_unix_ms())),
         resolution: Some(format!("quarantined after {attempts} attempts: {note}")),
-    }
-}
-
-fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
     }
 }
 

@@ -47,12 +47,11 @@ pub use flight::{FlightConfig, FlightDump, FlightRecorder};
 pub use rollup::{BucketSummary, DimReport, FleetRollup, RollupDim, RollupReport};
 pub use slo::{AlertEvent, AlertRecord, SloAttainment, SloEngine, SloFeed, SloKind, SloSpec};
 
-/// What the observatory watches. The default is the paper's monitoring
-/// posture: rollups on, the four paper SLOs, a modest flight recorder.
+/// What the observatory watches beyond its always-on per-zone, vendor
+/// and placement rollups. The default is the paper's monitoring posture:
+/// the four paper SLOs and a modest flight recorder.
 #[derive(Debug, Clone)]
 pub struct ObsConfig {
-    /// Maintain per-zone/vendor/placement rollups.
-    pub rollups: bool,
     /// SLOs to evaluate each tick.
     pub slos: Vec<SloSpec>,
     /// Flight-recorder ring sizing.
@@ -62,7 +61,6 @@ pub struct ObsConfig {
 impl Default for ObsConfig {
     fn default() -> ObsConfig {
         ObsConfig {
-            rollups: true,
             slos: SloSpec::paper_defaults(),
             flight: FlightConfig::default(),
         }
@@ -74,7 +72,6 @@ impl Default for ObsConfig {
 /// observability; frozen into a [`CampaignObs`] by [`ObsState::finish`].
 #[derive(Debug)]
 pub struct ObsState {
-    rollups_enabled: bool,
     rollup: Option<FleetRollup>,
     slo: SloEngine,
     flight: FlightRecorder,
@@ -84,28 +81,21 @@ impl ObsState {
     /// Build the observatory for a campaign ticking every `tick`.
     pub fn new(cfg: &ObsConfig, tick: SimDuration) -> ObsState {
         ObsState {
-            rollups_enabled: cfg.rollups,
             rollup: None,
             slo: SloEngine::new(&cfg.slos, tick),
             flight: FlightRecorder::new(cfg.flight),
         }
     }
 
-    /// Are rollups wanted? (The observe phase checks before building
-    /// its per-host bucket index caches.)
-    pub fn rollups_enabled(&self) -> bool {
-        self.rollups_enabled
-    }
-
     /// Install the rollup dimensions on first tick (the observe phase
     /// knows the fleet's zones/vendors; this crate does not).
     pub fn init_rollup(&mut self, rollup: FleetRollup) {
-        if self.rollups_enabled && self.rollup.is_none() {
+        if self.rollup.is_none() {
             self.rollup = Some(rollup);
         }
     }
 
-    /// The live rollup, if rollups are enabled and initialised.
+    /// The live rollup, once initialised.
     pub fn rollup_mut(&mut self) -> Option<&mut FleetRollup> {
         self.rollup.as_mut()
     }
@@ -150,7 +140,8 @@ pub struct CampaignObs {
     pub alerts: Vec<AlertRecord>,
     /// End-of-campaign attainment per SLO, in spec order.
     pub slos: Vec<SloAttainment>,
-    /// Dimensional rollup report (absent when rollups were disabled).
+    /// Dimensional rollup report (absent when the campaign never ticked
+    /// its observe phase).
     pub rollup: Option<RollupReport>,
     /// Flight-recorder snapshots taken when alerts fired or incidents
     /// opened.
@@ -177,7 +168,6 @@ mod tests {
     #[test]
     fn default_config_carries_the_paper_slos() {
         let cfg = ObsConfig::default();
-        assert!(cfg.rollups);
         let names: Vec<&str> = cfg.slos.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
             names,

@@ -26,9 +26,8 @@ use std::sync::Mutex;
 
 use frostlab_core::spec::JobSpec;
 use frostlab_core::MatrixSpec;
-use frostlab_ensemble::{CampaignProjection, SweepFold};
+use frostlab_ensemble::{run_job, CampaignProjection, RunFailure, SweepFold};
 use frostlab_trace::export::{to_chrome_trace, to_jsonl};
-use frostlab_trace::TraceConfig;
 
 use crate::registry::Artifacts;
 
@@ -198,24 +197,17 @@ struct CampaignRun {
     perfetto_json: String,
 }
 
-/// Build and run one campaign, optionally traced: the job's own
-/// [`ScenarioSpec::builder`](frostlab_core::ScenarioSpec::builder)
-/// pipeline, with the tracer armed on the representative so the matrix
-/// gets its `trace.jsonl`/`perfetto.json` artifacts.
+/// Run one campaign through the ensemble's guarded [`run_job`], with
+/// the tracer armed on the representative so the matrix gets its
+/// `trace.jsonl`/`perfetto.json` artifacts.
 fn run_campaign(job: &JobSpec, index: usize, traced: bool) -> Result<CampaignRun, ExecError> {
-    let mut builder = job
-        .scenario
-        .builder(job.seed)
-        .map_err(|e| ExecError::InvalidSpec(e.to_string()))?;
-    if traced {
-        builder = builder.with_tracing(TraceConfig::default());
-    }
-    let scenario = builder.build();
-    let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| scenario.run()))
-        .map_err(|payload| ExecError::CampaignPanicked {
+    let results = run_job(job, traced).map_err(|failure| match failure {
+        RunFailure::Spec(e) => ExecError::InvalidSpec(e.to_string()),
+        RunFailure::Panic(message) => ExecError::CampaignPanicked {
             job_index: index,
-            message: panic_text(payload),
-        })?;
+            message,
+        },
+    })?;
     let (trace_jsonl, perfetto_json) = match results.trace.as_ref() {
         Some(trace) => (
             to_jsonl(trace).map_err(|e| ExecError::Serialize(e.to_string()))?,
@@ -232,16 +224,6 @@ fn run_campaign(job: &JobSpec, index: usize, traced: bool) -> Result<CampaignRun
         trace_jsonl,
         perfetto_json,
     })
-}
-
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 #[cfg(test)]

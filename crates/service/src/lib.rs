@@ -22,29 +22,29 @@
 //!   submissions deduplicate at the job level; overlapping matrices
 //!   share campaign results. Determinism is what makes serving from
 //!   cache indistinguishable from re-simulating.
-//! - **Bounded everything.** A fixed-capacity [`AdmissionGate`] sheds
-//!   excess submissions with `429` + `Retry-After`; request heads and
-//!   bodies are size-capped; socket timeouts bound every connection.
-//!   The daemon's memory is a function of its configuration, not of its
-//!   traffic.
+//! - **Bounded admission.** One job table ([`JobRegistry`]) decides
+//!   dedup, admission and lifecycle under one lock; when its queue is
+//!   full, submissions shed with `429` + `Retry-After` and are never
+//!   registered. Request heads and bodies are size-capped; socket
+//!   timeouts bound every connection. The queue is bounded; the
+//!   registry and the result cache are not — both grow with the number
+//!   of distinct matrices and campaigns served.
 //!
 //! Module map: [`http`] (wire framing) → [`server`] (router, workers) →
-//! [`exec`] (matrix execution + cache) over [`registry`] (job lifecycle)
-//! and [`gate`] (admission); [`api`] holds the wire types and [`client`]
-//! a minimal blocking client for tests and `loadgen`.
+//! [`exec`] (matrix execution + cache) over [`registry`] (the job
+//! table); [`api`] holds the wire types and [`client`] a minimal
+//! blocking client for tests and `loadgen`.
 
 #![warn(missing_docs)]
 
 pub mod api;
 pub mod client;
 pub mod exec;
-pub mod gate;
 pub mod http;
 pub mod registry;
 pub mod server;
 
 pub use api::{ErrorBody, HealthBody, JobPhase, JobStatusBody, SubmitResponse};
 pub use exec::{ExecStats, ResultCache};
-pub use gate::{AdmissionGate, GateFull};
-pub use registry::{job_id, Artifacts, JobEntry, JobRegistry};
+pub use registry::{job_id, Admission, Artifacts, JobEntry, JobRegistry};
 pub use server::{Server, ServerConfig, MAX_WAIT_S};

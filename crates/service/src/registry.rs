@@ -1,25 +1,36 @@
-//! In-memory job registry: every submitted matrix, its lifecycle, and
-//! its frozen artifacts.
+//! The job table: every submitted matrix, its lifecycle, its frozen
+//! artifacts, and the admission queue that feeds the simulation workers.
 //!
 //! A job's id is the FNV-1a content hash of its canonical (compact)
 //! matrix JSON — the same digest discipline as
 //! [`JobSpec::key`](frostlab_core::JobSpec::key) — so resubmitting an
-//! identical matrix *is* the original job: the registry deduplicates on
-//! insert and the handler layer serves the finished artifacts without
-//! touching the admission gate.
+//! identical matrix *is* the original job.
 //!
-//! Status watchers (`GET /v1/jobs/{id}?wait_s=N`) block on the registry
-//! condvar, which is notified on every state transition, so long-polling
-//! costs no busy-waiting.
+//! One mutex guards the job map, the FIFO of queued ids, the count of
+//! running jobs and the `closed` flag. [`JobRegistry::submit`] makes the
+//! dedup (any phase, even with the queue full), shed and enqueue
+//! decisions in one critical section, so a shed submission is never
+//! registered; [`JobRegistry::next_job`] pops the FIFO and marks the job
+//! `Running` in one step. The shed hint is coarse: (queued + running) ×
+//! a per-job pace, clamped to `1..=60` seconds. The queue is bounded;
+//! the map is not — it keeps every admitted matrix and its artifacts.
+//!
+//! Status watchers (`GET /v1/jobs/{id}?wait_s=N`) block on a condvar
+//! notified on every state transition; idle workers block on a second
+//! one, notified when a job is queued or the table closes.
 
-use std::collections::HashMap;
-use std::sync::{Condvar, Mutex};
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use frostlab_core::spec::fnv1a;
 use frostlab_core::MatrixSpec;
 
 use crate::api::JobPhase;
+
+/// Rough seconds a queued matrix takes to drain — used only to scale the
+/// `Retry-After` hint, never to schedule anything.
+const PACE_S_PER_JOB: u64 = 2;
 
 /// The servable outputs of a finished job, frozen as bytes at completion
 /// time so every later `GET` returns identical responses.
@@ -52,8 +63,9 @@ pub struct JobEntry {
     pub cache_hits: u64,
     /// Failure explanation (failed jobs only).
     pub error: Option<String>,
-    /// Frozen outputs (done jobs only).
-    pub artifacts: Option<Artifacts>,
+    /// Frozen outputs (done jobs only), shared so a snapshot copies a
+    /// pointer, not the artifact bytes.
+    pub artifacts: Option<Arc<Artifacts>>,
 }
 
 /// Compute a job id: `{:016x}` FNV-1a of the canonical compact matrix
@@ -66,36 +78,67 @@ pub fn job_id(matrix: &MatrixSpec) -> Result<String, serde_json::Error> {
     ))
 }
 
-/// What a submission did to the registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitOutcome {
-    /// The job is new; the caller must enqueue it for execution.
+/// What [`JobRegistry::submit`] decided.
+#[derive(Debug, Clone)]
+pub enum Admission {
+    /// Registered and queued for a worker.
     New,
-    /// The id was already registered (any phase); nothing to enqueue.
-    Deduplicated,
+    /// The id was already registered (any phase); a snapshot of it.
+    Deduplicated(JobEntry),
+    /// The queue was full or the table closed; nothing was registered.
+    Shed {
+        /// Suggested client back-off, seconds (the `Retry-After` header).
+        retry_after_s: u64,
+    },
 }
 
-/// Thread-safe map from job id to [`JobEntry`], with a condvar for
-/// long-poll watchers.
 #[derive(Debug, Default)]
+struct Table {
+    jobs: HashMap<String, JobEntry>,
+    queue: VecDeque<String>,
+    running: usize,
+    closed: bool,
+}
+
+/// Thread-safe job table with a bounded admission queue.
+#[derive(Debug)]
 pub struct JobRegistry {
-    jobs: Mutex<HashMap<String, JobEntry>>,
+    table: Mutex<Table>,
+    /// Notified on every job state transition (long-poll watchers).
     changed: Condvar,
+    /// Notified when a job is queued or the table closes (workers).
+    ready: Condvar,
+    capacity: usize,
 }
 
 impl JobRegistry {
-    /// Empty registry.
-    pub fn new() -> JobRegistry {
-        JobRegistry::default()
+    /// An empty table admitting at most `capacity` queued jobs (≥ 1).
+    pub fn new(capacity: usize) -> JobRegistry {
+        JobRegistry {
+            table: Mutex::new(Table::default()),
+            changed: Condvar::new(),
+            ready: Condvar::new(),
+            capacity: capacity.max(1),
+        }
     }
 
-    /// Register a submission, deduplicating on the content-hash id.
-    pub fn submit(&self, id: &str, matrix: &MatrixSpec) -> SubmitOutcome {
-        let mut jobs = self.jobs.lock().expect("registry lock");
-        if jobs.contains_key(id) {
-            return SubmitOutcome::Deduplicated;
+    /// Admit a submission: deduplicate on the content-hash id, else shed
+    /// when closed or full, else register it and queue it. Never blocks.
+    pub fn submit(&self, id: &str, matrix: &MatrixSpec) -> Admission {
+        let mut t = self.lock();
+        if let Some(entry) = t.jobs.get(id) {
+            return Admission::Deduplicated(entry.clone());
         }
-        jobs.insert(
+        if t.closed {
+            return Admission::Shed { retry_after_s: 1 };
+        }
+        if t.queue.len() >= self.capacity {
+            let backlog = (t.queue.len() + t.running) as u64;
+            return Admission::Shed {
+                retry_after_s: (backlog * PACE_S_PER_JOB).clamp(1, 60),
+            };
+        }
+        t.jobs.insert(
             id.to_string(),
             JobEntry {
                 matrix: matrix.clone(),
@@ -107,24 +150,50 @@ impl JobRegistry {
                 artifacts: None,
             },
         );
-        SubmitOutcome::New
+        t.queue.push_back(id.to_string());
+        drop(t);
+        self.ready.notify_one();
+        Admission::New
+    }
+
+    /// Worker side: block until a job is queued, mark it `Running` and
+    /// return its id and matrix. `None` once the table is closed and the
+    /// queue is empty — the worker should exit.
+    pub fn next_job(&self) -> Option<(String, MatrixSpec)> {
+        let mut t = self.lock();
+        loop {
+            if let Some(id) = t.queue.pop_front() {
+                t.running += 1;
+                let entry = t.jobs.get_mut(&id).expect("queued ids are registered");
+                entry.phase = JobPhase::Running;
+                let matrix = entry.matrix.clone();
+                drop(t);
+                self.changed.notify_all();
+                return Some((id, matrix));
+            }
+            if t.closed {
+                return None;
+            }
+            t = self.ready.wait(t).expect("registry lock");
+        }
+    }
+
+    /// Close the table: queued jobs still drain, new submissions shed
+    /// and idle workers wake up and exit.
+    pub fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+    }
+
+    /// Jobs waiting in the queue and jobs held by workers, in one view.
+    pub fn load(&self) -> (usize, usize) {
+        let t = self.lock();
+        (t.queue.len(), t.running)
     }
 
     /// Snapshot one job.
     pub fn get(&self, id: &str) -> Option<JobEntry> {
-        self.jobs.lock().expect("registry lock").get(id).cloned()
-    }
-
-    /// Remove a job that could not be enqueued (admission shed after
-    /// registration), so a retry of the same matrix starts clean.
-    pub fn forget(&self, id: &str) {
-        self.jobs.lock().expect("registry lock").remove(id);
-        self.changed.notify_all();
-    }
-
-    /// Move a job to `Running`.
-    pub fn mark_running(&self, id: &str) {
-        self.update(id, |e| e.phase = JobPhase::Running);
+        self.lock().jobs.get(id).cloned()
     }
 
     /// Record one finished campaign (optionally a cache hit).
@@ -139,6 +208,7 @@ impl JobRegistry {
 
     /// Freeze a finished job's artifacts and mark it `Done`.
     pub fn mark_done(&self, id: &str, artifacts: Artifacts) {
+        let artifacts = Arc::new(artifacts);
         self.update(id, |e| {
             e.phase = JobPhase::Done;
             e.artifacts = Some(artifacts);
@@ -157,9 +227,9 @@ impl JobRegistry {
     /// returns the latest snapshot either way (`None` for unknown ids).
     pub fn wait_terminal(&self, id: &str, timeout: Duration) -> Option<JobEntry> {
         let deadline = Instant::now() + timeout;
-        let mut jobs = self.jobs.lock().expect("registry lock");
+        let mut t = self.lock();
         loop {
-            match jobs.get(id) {
+            match t.jobs.get(id) {
                 None => return None,
                 Some(e) if e.phase.is_terminal() => return Some(e.clone()),
                 Some(e) => {
@@ -169,20 +239,32 @@ impl JobRegistry {
                     }
                     let (guard, _) = self
                         .changed
-                        .wait_timeout(jobs, deadline - now)
+                        .wait_timeout(t, deadline - now)
                         .expect("registry lock");
-                    jobs = guard;
+                    t = guard;
                 }
             }
         }
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, Table> {
+        self.table.lock().expect("registry lock")
+    }
+
+    /// Apply a transition; a running job that turns terminal releases
+    /// its running slot.
     fn update(&self, id: &str, f: impl FnOnce(&mut JobEntry)) {
-        let mut jobs = self.jobs.lock().expect("registry lock");
-        if let Some(entry) = jobs.get_mut(id) {
-            f(entry);
+        {
+            let mut guard = self.lock();
+            let t = &mut *guard;
+            if let Some(entry) = t.jobs.get_mut(id) {
+                let was_running = entry.phase == JobPhase::Running;
+                f(entry);
+                if was_running && entry.phase.is_terminal() {
+                    t.running -= 1;
+                }
+            }
         }
-        drop(jobs);
         self.changed.notify_all();
     }
 }
@@ -200,6 +282,17 @@ mod tests {
         }
     }
 
+    fn shed_hint(admission: Admission) -> u64 {
+        match admission {
+            Admission::Shed { retry_after_s } => retry_after_s,
+            other => panic!("expected Shed, got {other:?}"),
+        }
+    }
+
+    fn next_id(reg: &JobRegistry) -> Option<String> {
+        reg.next_job().map(|(id, _)| id)
+    }
+
     #[test]
     fn job_id_is_whitespace_insensitive_and_stable() {
         let m = matrix();
@@ -215,43 +308,123 @@ mod tests {
     }
 
     #[test]
-    fn submit_deduplicates_on_id() {
-        let reg = JobRegistry::new();
-        let m = matrix();
-        assert_eq!(reg.submit("a", &m), SubmitOutcome::New);
-        assert_eq!(reg.submit("a", &m), SubmitOutcome::Deduplicated);
-        let entry = reg.get("a").expect("present");
-        assert_eq!(entry.phase, JobPhase::Queued);
-        assert_eq!(entry.jobs_total, 2);
-        assert!(reg.get("b").is_none());
-    }
-
-    #[test]
-    fn lifecycle_updates_are_visible_and_forgettable() {
-        let reg = JobRegistry::new();
+    fn lifecycle_updates_are_visible() {
+        let reg = JobRegistry::new(4);
         reg.submit("a", &matrix());
-        reg.mark_running("a");
+        let (id, m) = reg.next_job().expect("queued");
+        assert_eq!((id.as_str(), m.jobs(), reg.load()), ("a", 2, (0, 1)));
         reg.record_campaign("a", false);
         reg.record_campaign("a", true);
         let e = reg.get("a").expect("present");
-        assert_eq!(e.phase, JobPhase::Running);
-        assert_eq!(e.jobs_done, 2);
-        assert_eq!(e.cache_hits, 1);
-        reg.mark_done(
-            "a",
-            Artifacts {
-                summary_json: "{}".into(),
-                ..Artifacts::default()
-            },
+        assert_eq!(
+            (e.phase, e.jobs_done, e.cache_hits),
+            (JobPhase::Running, 2, 1)
         );
-        assert_eq!(reg.get("a").expect("present").phase, JobPhase::Done);
-        reg.forget("a");
-        assert!(reg.get("a").is_none());
+        reg.mark_done("a", Artifacts::default());
+        let done = reg.get("a").expect("present");
+        assert_eq!((done.phase, reg.load()), (JobPhase::Done, (0, 0)));
+        // Snapshots share the frozen artifacts rather than copying them.
+        let again = reg.get("a").and_then(|e| e.artifacts).expect("done");
+        assert!(Arc::ptr_eq(&done.artifacts.expect("done"), &again));
+    }
+
+    #[test]
+    fn sheds_above_capacity_with_backoff_hint_but_still_deduplicates() {
+        let reg = JobRegistry::new(2);
+        let m = matrix();
+        assert!(matches!(reg.submit("a", &m), Admission::New));
+        assert!(matches!(reg.submit("b", &m), Admission::New));
+        assert!(shed_hint(reg.submit("c", &m)) >= 1);
+        assert_eq!(reg.load(), (2, 0));
+        assert!(reg.get("c").is_none(), "a shed job is never registered");
+        match reg.submit("a", &m) {
+            Admission::Deduplicated(e) => {
+                assert_eq!((e.phase, e.jobs_total), (JobPhase::Queued, 2))
+            }
+            other => panic!("expected Deduplicated, got {other:?}"),
+        }
+        // Dequeuing one admits one more.
+        assert_eq!(next_id(&reg).as_deref(), Some("a"));
+        assert!(matches!(reg.submit("c", &m), Admission::New));
+        reg.mark_failed("a", "boom".into());
+        assert_eq!(reg.load(), (2, 0));
+    }
+
+    #[test]
+    fn retry_after_grows_with_backlog_and_clamps() {
+        let reg = JobRegistry::new(1);
+        let m = matrix();
+        reg.submit("a", &m);
+        let one = shed_hint(reg.submit("x", &m));
+        // Pull the job to running; backlog (1 queued + 1 running) after refill.
+        next_id(&reg).expect("job");
+        reg.submit("b", &m);
+        assert_eq!((one, shed_hint(reg.submit("x", &m))), (2, 4));
+        let deep = JobRegistry::new(40);
+        for i in 0..40 {
+            deep.submit(&format!("j{i}"), &m);
+        }
+        assert_eq!(shed_hint(deep.submit("x", &m)), 60);
+    }
+
+    #[test]
+    fn fifo_order_and_close_wakes_workers() {
+        let reg = Arc::new(JobRegistry::new(8));
+        let m = matrix();
+        reg.submit("a", &m);
+        reg.submit("b", &m);
+        assert_eq!(next_id(&reg).as_deref(), Some("a"));
+        // A blocked worker exits when the table closes, but queued jobs
+        // drain first.
+        let worker = {
+            let reg = reg.clone();
+            std::thread::spawn(move || (next_id(&reg), next_id(&reg)))
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        reg.close();
+        assert_eq!(worker.join().expect("worker"), (Some("b".into()), None));
+        // A closed table sheds new work with a 1 s hint, but still
+        // deduplicates known ids.
+        assert_eq!(shed_hint(reg.submit("c", &m)), 1);
+        assert!(reg.get("c").is_none());
+        assert!(matches!(reg.submit("a", &m), Admission::Deduplicated(_)));
+    }
+
+    #[test]
+    fn concurrent_identical_submissions_agree_on_one_outcome() {
+        let reg = JobRegistry::new(1);
+        let m = matrix();
+        reg.submit("filler", &m);
+        let race = |id: &str| -> Vec<Admission> {
+            std::thread::scope(|s| {
+                let racers: Vec<_> = (0..8).map(|_| s.spawn(|| reg.submit(id, &m))).collect();
+                racers
+                    .into_iter()
+                    .map(|h| h.join().expect("racer"))
+                    .collect()
+            })
+        };
+
+        // Queue full: every racer is shed and nothing is left behind.
+        let shed = race("x");
+        assert!(shed.iter().all(|a| matches!(a, Admission::Shed { .. })));
+        assert!(reg.get("x").is_none());
+
+        // One slot free: exactly one racer registers, the rest see it
+        // queued.
+        next_id(&reg).expect("filler");
+        let raced = race("y");
+        let new = raced.iter().filter(|a| matches!(a, Admission::New));
+        let deduped = raced
+            .iter()
+            .filter(|a| matches!(a, Admission::Deduplicated(e) if e.phase == JobPhase::Queued));
+        assert_eq!((new.count(), deduped.count()), (1, 7));
+        assert!(reg.get("y").is_some());
     }
 
     #[test]
     fn wait_terminal_returns_on_completion_and_on_timeout() {
-        let reg = std::sync::Arc::new(JobRegistry::new());
+        let reg = Arc::new(JobRegistry::new(4));
         reg.submit("a", &matrix());
         // Timeout path: still queued after 10 ms.
         let e = reg

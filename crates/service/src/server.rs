@@ -1,26 +1,27 @@
 //! The daemon: listener, router, simulation worker pool, metrics.
 //!
-//! Threading model (the container has no async runtime, so concurrency
-//! is plain threads — the ISSUE gates determinism of *results*, not the
-//! reactor):
+//! Threading model (the workspace has no async runtime, so concurrency
+//! is plain threads — determinism is a property of the *results*, not
+//! of the reactor):
 //!
 //! - One **acceptor** thread owns the listening socket and spawns a
 //!   short-lived handler thread per connection. Handlers are cheap: one
 //!   request, one response, `Connection: close`; socket read/write
 //!   timeouts bound how long a stalled peer can hold one.
-//! - A fixed pool of **simulation workers** drains the
-//!   [`AdmissionGate`]. All heavy work happens here, so HTTP handling
-//!   stays responsive while campaigns run, and total simulation
-//!   concurrency is exactly `sim_workers`.
+//! - A fixed pool of **simulation workers** drains the [`JobRegistry`]'s
+//!   queue. All heavy work happens here, so HTTP handling stays
+//!   responsive while campaigns run, and total simulation concurrency is
+//!   exactly `sim_workers`.
 //!
-//! Backpressure: when the gate's queue is full, `POST /v1/scenarios`
-//! sheds with `429` + `Retry-After` and the registry entry is rolled
-//! back, so daemon memory stays bounded by `queue_capacity` plus the
-//! result cache — never by client enthusiasm.
+//! Backpressure: when `queue_capacity` jobs are queued,
+//! `POST /v1/scenarios` sheds with `429` + `Retry-After` and registers
+//! nothing. That bounds the queue, not the daemon: the registry keeps
+//! every distinct admitted matrix with its artifacts, the result cache
+//! every distinct campaign, and each connection gets its own thread.
 //!
-//! Shutdown: [`Server::shutdown`] closes the gate (queued jobs drain,
-//! new submissions shed), pokes the acceptor awake with a loop-back
-//! connection, and joins every thread.
+//! Shutdown: [`Server::shutdown`] closes the job table (queued jobs
+//! drain, new submissions shed), pokes the acceptor awake with a
+//! loop-back connection, and joins every thread.
 
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -35,9 +36,8 @@ use frostlab_trace::MetricsRegistry;
 
 use crate::api::{ErrorBody, HealthBody, JobStatusBody, SubmitResponse};
 use crate::exec::{execute_matrix, ResultCache};
-use crate::gate::AdmissionGate;
 use crate::http::{read_request, HttpError, Request, Response};
-use crate::registry::{job_id, JobEntry, JobRegistry, SubmitOutcome};
+use crate::registry::{job_id, Admission, JobEntry, JobRegistry};
 
 /// Longest `wait_s` long-poll honoured by `GET /v1/jobs/{id}`, seconds.
 pub const MAX_WAIT_S: u64 = 30;
@@ -73,7 +73,6 @@ impl Default for ServerConfig {
 struct Shared {
     registry: JobRegistry,
     cache: ResultCache,
-    gate: AdmissionGate,
     metrics: Mutex<MetricsRegistry>,
     max_body_bytes: usize,
     stopping: AtomicBool,
@@ -120,9 +119,8 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            registry: JobRegistry::new(),
+            registry: JobRegistry::new(config.queue_capacity),
             cache: ResultCache::new(),
-            gate: AdmissionGate::new(config.queue_capacity),
             metrics: Mutex::new(MetricsRegistry::new()),
             max_body_bytes: config.max_body_bytes,
             stopping: AtomicBool::new(false),
@@ -160,12 +158,12 @@ impl Server {
         self.addr
     }
 
-    /// Drain and stop: close the gate (queued jobs still run to
+    /// Drain and stop: close the job table (queued jobs still run to
     /// completion, new submissions shed), wake the acceptor, join all
     /// threads.
     pub fn shutdown(mut self) {
         self.shared.stopping.store(true, Ordering::SeqCst);
-        self.shared.gate.close();
+        self.shared.registry.close();
         // The acceptor blocks in `accept`; a loop-back connection wakes
         // it so it can observe `stopping` and exit.
         let _ = TcpStream::connect(self.addr);
@@ -263,7 +261,7 @@ fn handle_request(shared: &Shared, request: &Request) -> Response {
     }
 }
 
-/// `POST /v1/scenarios`: parse, validate, register, admit.
+/// `POST /v1/scenarios`: parse, validate, admit.
 fn submit(shared: &Shared, request: &Request) -> Response {
     let text = match std::str::from_utf8(&request.body) {
         Ok(t) => t,
@@ -282,9 +280,20 @@ fn submit(shared: &Shared, request: &Request) -> Response {
     };
 
     match shared.registry.submit(&id, &matrix) {
-        SubmitOutcome::Deduplicated => {
+        Admission::New => {
+            shared.count("submissions_total");
+            json_response(
+                202,
+                &SubmitResponse {
+                    job_id: id,
+                    status: crate::api::JobPhase::Queued,
+                    jobs_total: matrix.jobs(),
+                    deduplicated: false,
+                },
+            )
+        }
+        Admission::Deduplicated(entry) => {
             shared.count("submissions_deduplicated_total");
-            let entry = shared.registry.get(&id).expect("just observed");
             json_response(
                 200,
                 &SubmitResponse {
@@ -295,33 +304,15 @@ fn submit(shared: &Shared, request: &Request) -> Response {
                 },
             )
         }
-        SubmitOutcome::New => match shared.gate.try_enqueue(&id) {
-            Ok(()) => {
-                shared.count("submissions_total");
-                json_response(
-                    202,
-                    &SubmitResponse {
-                        job_id: id,
-                        status: crate::api::JobPhase::Queued,
-                        jobs_total: matrix.jobs(),
-                        deduplicated: false,
-                    },
-                )
-            }
-            Err(full) => {
-                // Roll the registration back so a retry of the same
-                // matrix starts clean instead of deduplicating against
-                // a job that never ran.
-                shared.registry.forget(&id);
-                shared.count("submissions_shed_total");
-                let mut body = ErrorBody::new(
-                    "queue-full",
-                    format!("admission queue is full; retry in {}s", full.retry_after_s),
-                );
-                body.retry_after_s = Some(full.retry_after_s);
-                json_error(429, &body).with_header("retry-after", full.retry_after_s.to_string())
-            }
-        },
+        Admission::Shed { retry_after_s } => {
+            shared.count("submissions_shed_total");
+            let mut body = ErrorBody::new(
+                "queue-full",
+                format!("admission queue is full; retry in {retry_after_s}s"),
+            );
+            body.retry_after_s = Some(retry_after_s);
+            json_error(429, &body).with_header("retry-after", retry_after_s.to_string())
+        }
     }
 }
 
@@ -421,24 +412,19 @@ fn artifact_route(entry: &JobEntry, id: &str, name: &str) -> Response {
 /// text, with live queue gauges stamped at scrape time.
 fn metrics_response(shared: &Shared) -> Response {
     let mut metrics = shared.metrics.lock().expect("metrics lock");
-    metrics.gauge_set("queue_depth", shared.gate.queue_depth() as f64);
-    metrics.gauge_set("jobs_in_flight", shared.gate.in_flight() as f64);
+    let (queued, running) = shared.registry.load();
+    metrics.gauge_set("queue_depth", queued as f64);
+    metrics.gauge_set("jobs_in_flight", running as f64);
     metrics.gauge_set("result_cache_entries", shared.cache.len() as f64);
     let text = to_prometheus(&metrics.snapshot());
     drop(metrics);
     Response::new(200, "text/plain; version=0.0.4", text.into_bytes())
 }
 
-/// Simulation worker: drain the gate until it closes.
+/// Simulation worker: drain the job table until it closes.
 fn sim_worker(shared: &Shared) {
-    while let Some(id) = shared.gate.dequeue() {
-        let Some(entry) = shared.registry.get(&id) else {
-            // Submission was rolled back between enqueue and dequeue.
-            shared.gate.finish();
-            continue;
-        };
-        shared.registry.mark_running(&id);
-        let outcome = execute_matrix(&entry.matrix, &shared.cache, &|cache_hit| {
+    while let Some((id, matrix)) = shared.registry.next_job() {
+        let outcome = execute_matrix(&matrix, &shared.cache, &|cache_hit| {
             shared.registry.record_campaign(&id, cache_hit);
         });
         match outcome {
@@ -457,7 +443,6 @@ fn sim_worker(shared: &Shared) {
                 shared.count("jobs_failed_total");
             }
         }
-        shared.gate.finish();
     }
 }
 

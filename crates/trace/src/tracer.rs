@@ -13,38 +13,29 @@
 //!
 //! [`Tracer::disabled`] holds no buffer; every record method starts with
 //! a `None` check and returns. Call sites that would allocate to build an
-//! event (e.g. `format!` a track name) guard on [`Tracer::is_enabled`] or
-//! one of the per-category accessors first.
+//! event (e.g. `format!` a track name) guard on [`Tracer::events_enabled`]
+//! first.
 
 use frostlab_simkern::time::SimTime;
 
 use crate::event::{FieldValue, TraceEvent};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 
-/// Which event categories a tracer records. Metrics are always collected
-/// when the tracer is enabled; the flags gate only the (much bulkier)
-/// event stream, so an ensemble sweep can run metrics-only buffers.
+/// How much event stream a tracer keeps. Metrics are always collected
+/// when the tracer is enabled; events are recorded only while
+/// `max_events > 0`, so an ensemble sweep can run metrics-only buffers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Record host job-run spans (`host/<id>` tracks).
-    pub host_spans: bool,
-    /// Record collection attempts and healed-gap spans.
-    pub collection_events: bool,
-    /// Record watchdog incident open/resolve and fault instants.
-    pub incident_events: bool,
     /// Hard cap on buffered events; once reached, further events are
     /// counted in [`CampaignTrace::dropped_events`] instead of stored.
-    /// The cap is part of the determinism contract (same cap, same
-    /// drops), never a race.
+    /// `0` records no events at all. The cap is part of the determinism
+    /// contract (same cap, same drops), never a race.
     pub max_events: usize,
 }
 
 impl Default for TraceConfig {
     fn default() -> TraceConfig {
         TraceConfig {
-            host_spans: true,
-            collection_events: true,
-            incident_events: true,
             max_events: 1 << 22,
         }
     }
@@ -55,12 +46,7 @@ impl TraceConfig {
     /// ensemble sweeps, where per-seed event buffers would dominate
     /// memory but aggregated metric snapshots are wanted.
     pub fn metrics_only() -> TraceConfig {
-        TraceConfig {
-            host_spans: false,
-            collection_events: false,
-            incident_events: false,
-            max_events: 0,
-        }
+        TraceConfig { max_events: 0 }
     }
 }
 
@@ -136,19 +122,9 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// Should callers emit host job-run spans?
-    pub fn host_spans_enabled(&self) -> bool {
-        self.inner.as_ref().is_some_and(|b| b.cfg.host_spans)
-    }
-
-    /// Should callers emit collection attempt/gap events?
-    pub fn collection_events_enabled(&self) -> bool {
-        self.inner.as_ref().is_some_and(|b| b.cfg.collection_events)
-    }
-
-    /// Should callers emit incident and fault instants?
-    pub fn incident_events_enabled(&self) -> bool {
-        self.inner.as_ref().is_some_and(|b| b.cfg.incident_events)
+    /// Should callers build and emit events (spans and instants)?
+    pub fn events_enabled(&self) -> bool {
+        self.inner.as_ref().is_some_and(|b| b.cfg.max_events > 0)
     }
 
     /// Record a completed sim-time span on `track`.
@@ -297,7 +273,7 @@ mod tests {
     fn disabled_tracer_records_nothing_and_finishes_to_none() {
         let mut t = Tracer::disabled();
         assert!(!t.is_enabled());
-        assert!(!t.host_spans_enabled());
+        assert!(!t.events_enabled());
         t.span("host/0", "job-run", T0, T0 + SimDuration::secs(60), &[]);
         t.instant("watchdog", "incident-open", T0, &[]);
         t.counter_add("c", 1);
@@ -311,7 +287,7 @@ mod tests {
     #[test]
     fn enabled_tracer_buffers_events_in_sequence() {
         let mut t = Tracer::enabled(TraceConfig::default(), T0);
-        assert!(t.is_enabled() && t.host_spans_enabled());
+        assert!(t.is_enabled() && t.events_enabled());
         t.span(
             "host/0",
             "job-run",
@@ -330,13 +306,11 @@ mod tests {
     }
 
     #[test]
-    fn metrics_only_config_gates_all_event_categories() {
+    fn metrics_only_config_gates_all_events() {
         let cfg = TraceConfig::metrics_only();
         let mut t = Tracer::enabled(cfg, T0);
         assert!(t.is_enabled());
-        assert!(!t.host_spans_enabled());
-        assert!(!t.collection_events_enabled());
-        assert!(!t.incident_events_enabled());
+        assert!(!t.events_enabled());
         // max_events = 0: even direct records are counted as dropped.
         t.instant("x", "y", T0, &[]);
         t.counter_add("c", 2);
@@ -348,10 +322,7 @@ mod tests {
 
     #[test]
     fn event_cap_drops_deterministically() {
-        let cfg = TraceConfig {
-            max_events: 2,
-            ..TraceConfig::default()
-        };
+        let cfg = TraceConfig { max_events: 2 };
         let mut t = Tracer::enabled(cfg, T0);
         for i in 0..5 {
             t.instant("x", "y", T0 + SimDuration::secs(i), &[]);
@@ -363,10 +334,7 @@ mod tests {
 
     #[test]
     fn dropped_events_surface_as_a_counter_metric() {
-        let cfg = TraceConfig {
-            max_events: 1,
-            ..TraceConfig::default()
-        };
+        let cfg = TraceConfig { max_events: 1 };
         let mut t = Tracer::enabled(cfg, T0);
         for i in 0..4 {
             t.instant("x", "y", T0 + SimDuration::secs(i), &[]);

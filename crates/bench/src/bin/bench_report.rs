@@ -2,8 +2,7 @@
 //!
 //! Times three things and writes `BENCH_ensemble.json`:
 //!
-//! 1. `campaign_week_ms` — one week of the full scripted campaign (the
-//!    same workload as the `campaign_week` criterion bench);
+//! 1. `campaign_week_ms` — one week of the full scripted campaign;
 //! 2. `ensemble_serial_ms` — N one-week stochastic campaigns on 1 thread;
 //! 3. `ensemble_parallel_ms` — the same seed range on all cores (or
 //!    `--threads`), plus the resulting `speedup`;
@@ -25,7 +24,7 @@
 //!
 //! `--check BASELINE.json` compares wall-clock against a committed
 //! baseline with a ±`--tolerance` band (default 0.25) and exits 1 on
-//! regression — the CI `bench-regression` and `perf-budget` gates. When
+//! regression — the CI `bench-regression` gate. When
 //! the baseline carries a `phase_budget_ms` object (hand-maintained, e.g.
 //! `"phase_budget_ms": {"weather": 4.8}`), each named phase's median
 //! wall-clock is additionally checked against its budget with the same
@@ -420,7 +419,7 @@ fn main() {
         }
         // Per-phase budgets: the committed baseline may carry a
         // hand-maintained `phase_budget_ms` object gating individual
-        // phases (the `perf-budget` CI job leans on the `weather` entry).
+        // phases (the `bench-regression` CI job leans on the `weather` entry).
         let budgets = phase_budgets(&baseline);
         let (lines, phases_regressed) =
             phase_budget_verdicts(&budgets, &report.phase_breakdown, tolerance);

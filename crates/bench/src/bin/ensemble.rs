@@ -9,7 +9,8 @@
 //! `--traced` arms every campaign's tracer in metrics-only mode and
 //! prints the [`EnsembleMetrics`](frostlab_ensemble::EnsembleMetrics) report instead of the summary. That
 //! report carries no execution metadata, so it too must be byte-identical
-//! across `--threads` values — the `trace-determinism` CI job diffs it.
+//! across `--threads` values — the `thread-invariance (traced)` CI job
+//! diffs it.
 //!
 //! `--matrix FILE` switches to matrix mode: FILE is a `MatrixSpec` JSON
 //! manifest (the same format `farm submit` writes) and the sweep runs
@@ -24,9 +25,9 @@
 //!
 //! `--days 0` (default 7) runs the full Feb 12 – May 13 campaign.
 //! `--hosts 0` (default) runs the paper's 19 machines; any other value
-//! runs a generated vendor-mix fleet of that size (the CI `fleet-scale`
-//! job sweeps a 1,000-host campaign at 1 and 4 threads and diffs the
-//! invariant output).
+//! runs a generated vendor-mix fleet of that size (the CI
+//! `thread-invariance (fleet)` job sweeps a 1,000-host campaign at 1 and
+//! 4 threads and diffs the invariant output).
 
 use frostlab_core::config::{ExperimentConfig, FaultMode};
 use frostlab_core::fleet::FleetSpec;

@@ -12,7 +12,7 @@
 //!
 //! Every byte of every artifact is a pure function of the flags: no
 //! wall-clock, no thread IDs, no map iteration order leaks in. The
-//! `obs-determinism` CI job runs this binary at `--threads 1` and
+//! `thread-invariance (obs)` CI job runs this binary at `--threads 1` and
 //! `--threads 4` and `diff`s the output directories.
 //!
 //! ```sh

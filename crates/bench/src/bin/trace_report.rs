@@ -11,8 +11,8 @@
 //!
 //! Every byte of every export is a pure function of `(--seed, --days,
 //! --metrics-only)`: no wall-clock, no thread IDs, no map iteration
-//! order leaks in. The `trace-determinism` CI job runs this binary twice
-//! and `diff`s the output directories.
+//! order leaks in. The `determinism` CI job runs this binary twice and
+//! `diff`s the output directories.
 //!
 //! ```sh
 //! trace_report [--seed S] [--days D] [--out-dir DIR] [--metrics-only]

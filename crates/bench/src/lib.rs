@@ -1,7 +1,8 @@
 //! # frostlab-bench
 //!
-//! The reproduction harness: **one binary per figure/table in the paper**
-//! plus criterion benchmarks over the hot paths.
+//! The reproduction harness: **one binary per figure/table in the paper**,
+//! plus the `ensemble`, `farm`, `trace_report`, `obs_report` and
+//! `bench_report` CLIs.
 //!
 //! | binary | paper item |
 //! |---|---|

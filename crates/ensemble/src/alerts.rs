@@ -12,7 +12,7 @@
 //! The fold happens in the engine's ordered sink, so the frozen
 //! [`EnsembleAlerts`] (and its [`EnsembleAlerts::timeline_jsonl`]
 //! rendering) is byte-identical at any thread count — the
-//! `obs-determinism` CI job diffs it at 1 vs 4 threads.
+//! `thread-invariance (obs)` CI job diffs it at 1 vs 4 threads.
 
 use frostlab_obs::{AlertRecord, CampaignObs, SloAttainment};
 

@@ -158,7 +158,7 @@ pub struct GaugeAggregate {
 
 /// Frozen, serializable metrics view of a whole traced sweep. Contains no
 /// execution metadata, so its JSON must be byte-identical across thread
-/// counts — the `trace-determinism` CI job diffs it.
+/// counts — the `thread-invariance (traced)` CI job diffs it.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct EnsembleMetrics {
     /// Schema tag ([`METRICS_SCHEMA`]).

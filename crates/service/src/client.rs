@@ -1,4 +1,4 @@
-//! Tiny blocking HTTP client — the test and `loadgen` counterpart of
+//! Tiny blocking HTTP client — the tests' counterpart of
 //! [`crate::http`].
 //!
 //! Speaks exactly the dialect `frostlabd` serves: one request per

@@ -18,7 +18,7 @@
 //! is what makes serving from cache sound.
 //!
 //! The **first job** of every matrix additionally runs with the tracer
-//! armed (tracing is perturbation-free — the `trace-determinism` CI gate
+//! armed (tracing is perturbation-free — `tests/trace_determinism.rs`
 //! pins that) to produce the `trace.jsonl` / `perfetto.json` artifacts.
 
 use std::collections::HashMap;

@@ -33,7 +33,7 @@
 //! Module map: [`http`] (wire framing) → [`server`] (router, workers) →
 //! [`exec`] (matrix execution + cache) over [`registry`] (the job
 //! table); [`api`] holds the wire types and [`client`] a minimal
-//! blocking client for tests and `loadgen`.
+//! blocking client for tests.
 
 #![warn(missing_docs)]
 

@@ -8,7 +8,12 @@
 //!   in-process `run_matrix_sweep` reference.
 //! - **Backpressure:** a saturated admission gate sheds with `429` +
 //!   `Retry-After` while already-admitted jobs run to completion.
+//! - **Concurrent clients:** status polls, summary fetches and
+//!   deduplicated resubmissions from several threads all succeed and
+//!   serve the same bytes.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 use std::time::Duration;
 
 use frostlab_core::{MatrixSpec, ScenarioSpec};
@@ -335,5 +340,66 @@ fn oversized_bodies_are_rejected_with_413() {
     let r = post_json(server.addr(), "/v1/scenarios", &big, TIMEOUT).expect("oversized");
     assert_eq!(r.status, 413, "{}", r.text());
     assert!(r.text().contains("body-too-large"), "{}", r.text());
+    server.shutdown();
+}
+
+#[test]
+fn concurrent_polls_summaries_and_resubmissions_all_succeed() {
+    const CLIENTS: usize = 4;
+    const REQUESTS_PER_ROUTE: usize = 2_000;
+    let server = start(2, 8);
+    let addr = server.addr();
+
+    // Warm-up: one matrix, run to completion, its summary as reference.
+    let m = matrix("api-load", 1, 2);
+    let body = m.to_json().expect("matrix serializes");
+    let (status, submitted) = submit(&server, &m);
+    assert_eq!(status, 202, "{submitted}");
+    let id = json_str_field(&submitted, "job_id").expect("job_id");
+    wait_done(&server, id);
+    let status_path = format!("/v1/jobs/{id}");
+    let summary_path = format!("/v1/jobs/{id}/summary");
+    let warm = get(addr, &summary_path, TIMEOUT).expect("summary");
+    assert_eq!(warm.status, 200, "{}", warm.text());
+
+    // Request n goes to route n % 3, so every client interleaves all
+    // three; the barrier releases all clients at once.
+    let next = AtomicUsize::new(0);
+    let start_line = Barrier::new(CLIENTS);
+    std::thread::scope(|s| {
+        for _ in 0..CLIENTS {
+            s.spawn(|| {
+                start_line.wait();
+                loop {
+                    let n = next.fetch_add(1, Ordering::Relaxed);
+                    if n >= 3 * REQUESTS_PER_ROUTE {
+                        break;
+                    }
+                    let r = match n % 3 {
+                        0 => get(addr, &status_path, TIMEOUT),
+                        1 => get(addr, &summary_path, TIMEOUT),
+                        _ => post_json(addr, "/v1/scenarios", &body, TIMEOUT),
+                    }
+                    .unwrap_or_else(|e| panic!("request {n}: {e}"));
+                    assert!(
+                        (200..300).contains(&r.status),
+                        "request {n}: {} {}",
+                        r.status,
+                        r.text()
+                    );
+                    match n % 3 {
+                        1 => assert!(r.body == warm.body, "request {n}: summary bytes moved"),
+                        2 => assert!(
+                            r.text().contains("\"deduplicated\":true"),
+                            "request {n}: {}",
+                            r.text()
+                        ),
+                        _ => {}
+                    }
+                }
+            });
+        }
+    });
+
     server.shutdown();
 }

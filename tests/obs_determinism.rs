@@ -11,9 +11,9 @@
 //! 4. **One alerts rendering** — an observed matrix's `alerts.json` is
 //!    the same bytes from the in-process sweep, the farm and `frostlabd`.
 //!
-//! The `obs-determinism` CI job re-checks the same properties on the
-//! built `obs_report` binary; this test keeps them enforced by plain
-//! `cargo test`.
+//! The `determinism` (paper gate) and `thread-invariance (obs)` CI jobs
+//! re-check the same properties on the built `obs_report` binary; this
+//! test keeps them enforced by plain `cargo test`.
 
 use std::time::Duration;
 
@@ -213,7 +213,8 @@ fn repeated_observed_runs_emit_identical_bytes() {
 /// The full scripted campaign reproduces the paper's corruption tally
 /// through the SLO engine: exactly 5 bad md5sums, inside the 5/27,627
 /// budget. Expensive (the whole Feb 12 – May 13 campaign), so release
-/// builds only — the `obs-determinism` CI job runs it via `obs_report`.
+/// builds only — the `determinism` CI job runs it, and the same gate via
+/// `obs_report`.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "full campaign; run with --release")]
 fn scripted_campaign_attains_the_paper_corruption_slo() {

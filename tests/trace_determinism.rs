@@ -8,8 +8,9 @@
 //!    config, identical across repeated runs and (for ensemble metric
 //!    reports) across worker-thread counts.
 //!
-//! The `trace-determinism` CI job re-checks the same properties on the
-//! built binaries; this test keeps them enforced by plain `cargo test`.
+//! The `determinism` (traced campaign twice) and
+//! `thread-invariance (traced)` CI jobs re-check the same properties on
+//! the built binaries; this test keeps them enforced by plain `cargo test`.
 
 use frostlab::core::config::{ExperimentConfig, FaultMode};
 use frostlab::core::ScenarioBuilder;

@@ -159,7 +159,6 @@ fn run(resume: bool, cli: &Cli) -> Result<(), FarmError> {
         workers: cli.workers,
         max_attempts: cli.max_attempts,
         handle_sigint: true,
-        ..RunOptions::default()
     })?;
     eprintln!(
         "workers={} ran={} cached={} quarantined={} orphans-requeued={} drained={} settled={}",

@@ -20,8 +20,10 @@
 //!   [`frostlab_core::JobSpec::key`]; identical jobs are cache-served,
 //!   and a crash between store write and WAL append costs one cache hit,
 //!   never a re-simulation.
-//! * [`supervisor`] — the worker pool: leases, heartbeats, per-job retry
-//!   with exponential backoff, poison-job quarantine (with
+//! * [`supervisor`] — runs pending jobs on the ensemble's worker pool
+//!   ([`frostlab_ensemble::Ensemble::run_map`]): epoch-scoped leases,
+//!   each failed job retried in place by its worker with capped
+//!   exponential backoff, poison-job quarantine (with
 //!   [`frostlab_core::watchdog::IncidentRecord`]s), orphan-lease requeue
 //!   on resume, SIGINT graceful drain, and the deterministic merge whose
 //!   output is byte-identical to a single-process

@@ -1,9 +1,9 @@
 //! Graceful-drain signalling.
 //!
 //! On Unix the farm installs a SIGINT handler that flips one atomic
-//! flag; workers check [`drain_requested`] between jobs and finish the
-//! job in hand before exiting, so a Ctrl-C leaves the WAL ending in a
-//! clean `drain` record instead of a torn frame. A second SIGINT falls
+//! flag; workers check [`drain_requested`] before each attempt and finish
+//! the attempt in hand before exiting, so a Ctrl-C leaves the WAL ending
+//! in a clean `drain` record instead of a torn frame. A second SIGINT falls
 //! through to the default disposition (process kill) — that path is what
 //! the crash-resume machinery exists for.
 //!

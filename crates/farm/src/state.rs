@@ -89,7 +89,7 @@ impl FarmState {
             return;
         };
         match record.kind.as_str() {
-            kind::LEASE | kind::HEARTBEAT if !job.terminal() => {
+            kind::LEASE if !job.terminal() => {
                 job.status = JobStatus::Leased;
                 job.lease_epoch = job.lease_epoch.max(record.epoch);
             }
@@ -109,7 +109,8 @@ impl FarmState {
                 job.attempts = job.attempts.max(record.attempt);
             }
             // START and DRAIN only move the epoch watermark; guarded-out
-            // records are absorbed by a terminal state.
+            // records are absorbed by a terminal state. Unknown kinds, such
+            // as the `heartbeat` records older farms wrote, are ignored.
             _ => {}
         }
     }

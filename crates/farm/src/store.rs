@@ -5,12 +5,13 @@
 //! (scenario, seed) pair share one entry, and a resumed farm serves
 //! completed jobs from disk instead of re-simulating them.
 //!
-//! Writes are crash-atomic: the payload lands in a worker-private temp
-//! file first and is `rename(2)`d into place, so a reader (or a replay
-//! after a kill) sees either the whole result or nothing. The supervisor
-//! writes the store entry **before** appending the WAL `complete`
-//! record; a crash between the two leaves an orphaned store entry, which
-//! the next run turns into a cache hit rather than a re-simulation.
+//! Writes are crash-atomic: the payload lands in a temp file named by
+//! the writing job first and is `rename(2)`d into place, so a reader (or
+//! a replay after a kill) sees either the whole result or nothing. The
+//! supervisor writes the store entry **before** appending the WAL
+//! `complete` record; a crash between the two leaves an orphaned store
+//! entry, which the next run turns into a cache hit rather than a
+//! re-simulation.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -57,15 +58,10 @@ impl ResultStore {
         self.get(key).is_some()
     }
 
-    /// Store `summary` under `key` atomically (temp file + rename).
-    /// `worker` namespaces the temp file so concurrent workers writing
-    /// different keys never collide.
-    pub fn put(&self, key: &str, worker: u64, summary: &CampaignSummary) -> Result<(), FarmError> {
-        let json = serde_json::to_string(summary)?;
-        let tmp = self.root.join(format!(".tmp-{worker}-{key}"));
-        fs::write(&tmp, json.as_bytes())?;
-        fs::rename(&tmp, self.path(key))?;
-        Ok(())
+    /// Store `summary` under `key` atomically. `job` (the job's manifest
+    /// index) names the temp file, so concurrent workers never collide.
+    pub fn put(&self, key: &str, job: u64, summary: &CampaignSummary) -> Result<(), FarmError> {
+        write_atomic(&self.path(key), job, serde_json::to_string(summary)?)
     }
 
     /// Path of the alerts sidecar for `key`.
@@ -83,12 +79,8 @@ impl ResultStore {
     /// Store an observed job's alert view under `key` atomically. Called
     /// **before** [`ResultStore::put`] so the summary's presence implies
     /// the sidecar's.
-    pub fn put_alerts(&self, key: &str, worker: u64, alerts: &SeedAlerts) -> Result<(), FarmError> {
-        let json = serde_json::to_string(alerts)?;
-        let tmp = self.root.join(format!(".tmp-{worker}-{key}.alerts"));
-        fs::write(&tmp, json.as_bytes())?;
-        fs::rename(&tmp, self.alerts_path(key))?;
-        Ok(())
+    pub fn put_alerts(&self, key: &str, job: u64, alerts: &SeedAlerts) -> Result<(), FarmError> {
+        write_atomic(&self.alerts_path(key), job, serde_json::to_string(alerts)?)
     }
 
     /// Number of intact summary entries in the store (alerts sidecars
@@ -113,6 +105,22 @@ impl ResultStore {
     pub fn is_empty(&self) -> Result<bool, FarmError> {
         Ok(self.len()? == 0)
     }
+}
+
+/// Write `bytes` to `path` atomically: into a `.tmp-<tag>-` file beside
+/// it, then `rename(2)` over it, so a reader (or a replay after a kill)
+/// sees the old file or the whole new one, never a torn one. `tag` keeps
+/// concurrent writers to one directory apart.
+pub(crate) fn write_atomic(
+    path: &Path,
+    tag: u64,
+    bytes: impl AsRef<[u8]>,
+) -> Result<(), FarmError> {
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    let tmp = path.with_file_name(format!(".tmp-{tag}-{name}"));
+    fs::write(&tmp, bytes)?;
+    fs::rename(&tmp, path)?;
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
-//! The farm supervisor: directory layout, worker pool, retry/quarantine
-//! policy, and the deterministic merge.
+//! The farm supervisor: directory layout, the run loop on the ensemble's
+//! worker pool, in-place retry/quarantine policy, and the deterministic
+//! merge.
 //!
 //! A farm is a directory:
 //!
@@ -30,11 +31,10 @@
 //! single-process [`frostlab_ensemble::sweep`] of the same matrix at any
 //! worker count and across any number of kill/resume cycles.
 
-use std::collections::VecDeque;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use frostlab_core::watchdog::{IncidentKind, IncidentRecord};
@@ -46,7 +46,7 @@ use frostlab_trace::MetricsRegistry;
 use crate::error::FarmError;
 use crate::signal;
 use crate::state::{FarmState, JobStatus};
-use crate::store::ResultStore;
+use crate::store::{write_atomic, ResultStore};
 use crate::wal::{now_unix_ms, ReplayReport, Wal, WalRecord};
 
 /// File name of the submitted matrix inside a farm directory.
@@ -62,20 +62,23 @@ pub const ALERTS_FILE: &str = "alerts.json";
 /// File name of the quarantine incident log.
 pub const INCIDENTS_FILE: &str = "incidents.json";
 
-/// Sentinel for "worker is idle" in the busy-job table.
-const IDLE: u64 = u64::MAX;
+/// Sleep after a job's first failed attempt; it doubles per failure.
+const FIRST_BACKOFF_MS: u64 = 25;
+/// Cap on one backoff sleep, so a poison job can't stall a drain.
+const BACKOFF_CAP_MS: u64 = 2_000;
+/// The `worker` field of the records this supervisor writes. The
+/// ensemble pool does not name its threads, and no reader needs them.
+const WORKER: u64 = 0;
 
 /// Knobs for one `run`/`resume` invocation.
 #[derive(Debug, Clone, Copy)]
 pub struct RunOptions {
     /// Worker threads; `0` means all available cores.
     pub workers: usize,
-    /// Attempts before a failing job is quarantined.
+    /// Attempts before a failing job is quarantined. A worker retries
+    /// its job in place, sleeping 25 ms after the first failure and
+    /// doubling per failure after that (at most 2 s).
     pub max_attempts: u64,
-    /// Base of the exponential retry backoff (doubles per attempt).
-    pub backoff_base_ms: u64,
-    /// Interval between heartbeat records for busy workers.
-    pub heartbeat_ms: u64,
     /// Install the SIGINT graceful-drain handler (bins want this; tests
     /// and library embedders usually don't).
     pub handle_sigint: bool,
@@ -86,8 +89,6 @@ impl Default for RunOptions {
         RunOptions {
             workers: 0,
             max_attempts: 3,
-            backoff_base_ms: 25,
-            heartbeat_ms: 1000,
             handle_sigint: false,
         }
     }
@@ -137,13 +138,6 @@ pub struct FarmStatus {
     pub torn_tail_recovered: bool,
 }
 
-/// Mutable queue shared by the worker pool.
-struct SharedQueue {
-    queue: VecDeque<u64>,
-    attempts: Vec<u64>,
-    incidents: Vec<IncidentRecord>,
-}
-
 /// An open farm directory.
 #[derive(Debug)]
 pub struct Farm {
@@ -167,26 +161,9 @@ impl Farm {
         if manifest.exists() {
             return Err(FarmError::AlreadySubmitted(dir.to_path_buf()));
         }
-        fs::write(&manifest, matrix.to_json()?)?;
-        let wal = Wal::create(&dir.join(WAL_FILE))?;
-        let store = ResultStore::open(&dir.join(STORE_DIR))?;
-        let jobs = matrix.expand();
-        let keys = job_keys(&jobs)?;
-        let state = FarmState::new(jobs.len());
-        Ok(Farm {
-            dir: dir.to_path_buf(),
-            matrix: matrix.clone(),
-            jobs,
-            keys,
-            wal: Mutex::new(wal),
-            state,
-            store,
-            replay: ReplayReport {
-                records: 0,
-                clean_bytes: 0,
-                torn: false,
-            },
-        })
+        write_atomic(&manifest, 0, matrix.to_json()?)?;
+        Wal::create(&dir.join(WAL_FILE))?;
+        Farm::open(dir)
     }
 
     /// Open a previously submitted farm: parse the manifest, replay the
@@ -250,9 +227,9 @@ impl Farm {
         }
     }
 
-    /// Run the worker pool until the queue settles, a drain is requested,
-    /// or an unrecoverable error occurs. Safe to call repeatedly; each
-    /// call is a new lease epoch.
+    /// Run the pending jobs on the ensemble's worker pool until the queue
+    /// settles, a drain is requested, or an unrecoverable error occurs.
+    /// Safe to call repeatedly; each call is a new lease epoch.
     pub fn run(&mut self, opts: RunOptions) -> Result<RunOutcome, FarmError> {
         signal::reset_drain();
         if opts.handle_sigint {
@@ -272,153 +249,47 @@ impl Farm {
         // Self-heal the inverse crash window: a WAL `complete` whose store
         // entry vanished. Should not happen (store lands first), but a
         // deleted store file must re-queue, not wedge the merge. An
-        // observed job with its summary intact but its alerts sidecar
-        // gone is the same wound: the merged alert report would silently
-        // lose a seed, so it re-runs too.
+        // observed job whose alerts sidecar is gone is the same wound:
+        // the merged alert report would silently lose a seed.
         for idx in 0..self.jobs.len() {
-            if self.state.jobs[idx].status != JobStatus::Done {
-                continue;
-            }
-            let reason = if !self.store.contains(&self.keys[idx]) {
-                Some("completed result missing from store")
-            } else if self.jobs[idx].scenario.observe
-                && self.store.get_alerts(&self.keys[idx]).is_none()
-            {
-                Some("observed job missing its alerts sidecar")
-            } else {
-                None
-            };
-            if let Some(reason) = reason {
+            if self.state.jobs[idx].status == JobStatus::Done && self.stored(idx).is_none() {
                 self.state.jobs[idx].status = JobStatus::Pending;
-                let rec = WalRecord::requeue(epoch, idx as u64, reason);
+                let rec =
+                    WalRecord::requeue(epoch, idx as u64, "completed result missing from store");
                 self.wal_append(&rec)?;
             }
         }
 
-        let pending: VecDeque<u64> = (0..self.jobs.len() as u64)
-            .filter(|&i| self.state.jobs[i as usize].status == JobStatus::Pending)
+        let pending: Vec<usize> = (0..self.jobs.len())
+            .filter(|&i| self.state.jobs[i].status == JobStatus::Pending)
             .collect();
-        // Resolved like the ensemble's threads: auto-detect, then never
-        // more workers than jobs left to run.
-        let workers = Ensemble::new(pending.len() as u64)
-            .threads(opts.workers)
-            .effective_threads();
-        let shared = Mutex::new(SharedQueue {
-            queue: pending,
-            attempts: self.state.jobs.iter().map(|j| j.attempts).collect(),
-            incidents: Vec::new(),
-        });
-        let jobs_run = AtomicU64::new(0);
-        let jobs_cached = AtomicU64::new(0);
-        let jobs_quarantined = AtomicU64::new(0);
-        let in_flight = AtomicU64::new(0);
-        let finished_workers = AtomicU64::new(0);
-        let fatal = AtomicBool::new(false);
-        let first_error: Mutex<Option<FarmError>> = Mutex::new(None);
-        let busy: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(IDLE)).collect();
-
-        let jobs = &self.jobs;
-        let keys = &self.keys;
-        let store = &self.store;
-        let wal = &self.wal;
-
-        let fail_fatally = |err: FarmError| {
-            let mut slot = lock(&first_error);
-            if slot.is_none() {
-                *slot = Some(err);
-            }
-            fatal.store(true, Ordering::SeqCst);
-        };
-
-        std::thread::scope(|scope| {
-            for w in 0..workers as u64 {
-                let shared = &shared;
-                let jobs_run = &jobs_run;
-                let jobs_cached = &jobs_cached;
-                let jobs_quarantined = &jobs_quarantined;
-                let in_flight = &in_flight;
-                let finished_workers = &finished_workers;
-                let fatal = &fatal;
-                let fail_fatally = &fail_fatally;
-                let busy = &busy;
-                scope.spawn(move || {
-                    loop {
-                        if signal::drain_requested() || fatal.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let job = {
-                            let mut s = lock(shared);
-                            let job = s.queue.pop_front();
-                            if job.is_some() {
-                                in_flight.fetch_add(1, Ordering::SeqCst);
-                            }
-                            job
-                        };
-                        let Some(job) = job else {
-                            if in_flight.load(Ordering::SeqCst) == 0 {
-                                break;
-                            }
-                            std::thread::sleep(Duration::from_millis(5));
-                            continue;
-                        };
-                        busy[w as usize].store(job, Ordering::SeqCst);
-                        let step = process_job(
-                            epoch,
-                            w,
-                            job,
-                            &jobs[job as usize],
-                            &keys[job as usize],
-                            store,
-                            wal,
-                            shared,
-                            max_attempts,
-                            opts.backoff_base_ms,
-                        );
-                        busy[w as usize].store(IDLE, Ordering::SeqCst);
-                        match step {
-                            Ok(JobOutcome::Ran) => {
-                                jobs_run.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Ok(JobOutcome::Cached) => {
-                                jobs_cached.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Ok(JobOutcome::Requeued) => {}
-                            Ok(JobOutcome::Quarantined) => {
-                                jobs_quarantined.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Err(err) => fail_fatally(err),
-                        }
-                        in_flight.fetch_sub(1, Ordering::SeqCst);
-                    }
-                    finished_workers.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-
-            // The calling thread doubles as the heartbeat monitor: every
-            // heartbeat interval it records which jobs the live workers
-            // hold, so a later `status`/`resume` on a killed farm can see
-            // how far activity got.
-            let mut last_beat = now_unix_ms();
-            while finished_workers.load(Ordering::SeqCst) < workers as u64 {
-                std::thread::sleep(Duration::from_millis(10));
-                let now = now_unix_ms();
-                if now.saturating_sub(last_beat) < opts.heartbeat_ms {
-                    continue;
+        // Auto-detected like the ensemble's threads, and never more
+        // workers than jobs left to run.
+        let pool = Ensemble::new(pending.len() as u64).threads(opts.workers);
+        let workers = pool.effective_threads();
+        let stop = AtomicBool::new(false);
+        let (mut jobs_run, mut jobs_cached) = (0u64, 0u64);
+        let mut incidents = Vec::new();
+        let mut first_error = None;
+        pool.run_map(
+            |i| {
+                let step = self.process_job(epoch, pending[i as usize], max_attempts, &stop);
+                if step.is_err() {
+                    stop.store(true, Ordering::SeqCst);
                 }
-                last_beat = now;
-                for (w, slot) in busy.iter().enumerate() {
-                    let job = slot.load(Ordering::SeqCst);
-                    if job != IDLE {
-                        let rec = WalRecord::heartbeat(epoch, w as u64, job);
-                        if let Err(err) = lock(wal).append(&rec) {
-                            fail_fatally(err);
-                        }
-                    }
+                step
+            },
+            |_, step| match step {
+                Ok(JobOutcome::Ran) => jobs_run += 1,
+                Ok(JobOutcome::Cached) => jobs_cached += 1,
+                Ok(JobOutcome::Quarantined(incident)) => incidents.push(incident),
+                Ok(JobOutcome::Stopped) => {}
+                Err(err) => {
+                    first_error.get_or_insert(err);
                 }
-            }
-        });
-
-        if let Some(err) = lock(&first_error).take() {
+            },
+        );
+        if let Some(err) = first_error {
             return Err(err);
         }
 
@@ -434,10 +305,6 @@ impl Farm {
             self.wal_append(&WalRecord::drain(epoch))?;
         }
 
-        let incidents = {
-            let s = lock(&shared);
-            s.incidents.clone()
-        };
         if !incidents.is_empty() {
             self.append_incidents(&incidents)?;
         }
@@ -447,34 +314,98 @@ impl Farm {
             let merged = self.fold(workers)?;
             // Trailing newline matches `ensemble --matrix --invariant`'s
             // stdout so the CI gate can `diff` the two files directly.
-            fs::write(
-                self.dir.join(MERGED_FILE),
-                format!("{}\n", merged.summary.invariant_json()?),
-            )?;
+            let text = format!("{}\n", merged.summary.invariant_json()?);
+            write_atomic(&self.dir.join(MERGED_FILE), 0, text)?;
             if let Some(alerts) = merged.alerts {
-                fs::write(self.dir.join(ALERTS_FILE), alerts.to_json()?)?;
+                write_atomic(&self.dir.join(ALERTS_FILE), 0, alerts.to_json()?)?;
             }
         }
 
+        let jobs_quarantined = incidents.len() as u64;
         let mut metrics = MetricsRegistry::new();
-        metrics.counter_add("farm.jobs.run", jobs_run.load(Ordering::SeqCst));
-        metrics.counter_add("farm.jobs.cached", jobs_cached.load(Ordering::SeqCst));
-        metrics.counter_add(
-            "farm.jobs.quarantined",
-            jobs_quarantined.load(Ordering::SeqCst),
-        );
+        metrics.counter_add("farm.jobs.run", jobs_run);
+        metrics.counter_add("farm.jobs.cached", jobs_cached);
+        metrics.counter_add("farm.jobs.quarantined", jobs_quarantined);
         metrics.counter_add("farm.orphans.requeued", orphans.len() as u64);
         metrics.counter_add("farm.wal.records", self.replay.records as u64);
 
         Ok(RunOutcome {
-            jobs_run: jobs_run.load(Ordering::SeqCst),
-            jobs_cached: jobs_cached.load(Ordering::SeqCst),
-            jobs_quarantined: jobs_quarantined.load(Ordering::SeqCst),
+            jobs_run,
+            jobs_cached,
+            jobs_quarantined,
             orphans_requeued: orphans.len() as u64,
             workers,
             drained,
             settled,
             prometheus: to_prometheus(&metrics.snapshot()),
+        })
+    }
+
+    /// Lease, run (or cache-serve) and record job `idx`, retrying it in
+    /// place with capped exponential backoff until it completes or is
+    /// quarantined. A stop or drain request is honoured before each
+    /// attempt and leaves the job pending for the next run.
+    ///
+    /// Store writes happen strictly before the WAL `complete` append —
+    /// the crash-safety pivot — and for an observed job the alerts
+    /// sidecar lands strictly before the summary, so a visible summary
+    /// always has its alerts alongside it.
+    fn process_job(
+        &self,
+        epoch: u64,
+        idx: usize,
+        max_attempts: u64,
+        stop: &AtomicBool,
+    ) -> Result<JobOutcome, FarmError> {
+        let (job, key, spec) = (idx as u64, &self.keys[idx], &self.jobs[idx]);
+        let mut attempts = self.state.jobs[idx].attempts;
+        loop {
+            if stop.load(Ordering::SeqCst) || signal::drain_requested() {
+                return Ok(JobOutcome::Stopped);
+            }
+            self.wal_append(&WalRecord::lease(epoch, WORKER, job))?;
+            if self.stored(idx).is_some() {
+                self.wal_append(&WalRecord::complete(epoch, WORKER, job, true))?;
+                return Ok(JobOutcome::Cached);
+            }
+            let note = match run_job(spec, false) {
+                Ok(results) => {
+                    let projection = CampaignProjection::of(&results);
+                    if let Some(alerts) = &projection.alerts {
+                        self.store.put_alerts(key, job, alerts)?;
+                    }
+                    self.store.put(key, job, &projection.summary)?;
+                    self.wal_append(&WalRecord::complete(epoch, WORKER, job, false))?;
+                    return Ok(JobOutcome::Ran);
+                }
+                Err(failure) => failure.to_string(),
+            };
+            attempts += 1;
+            if attempts >= max_attempts {
+                self.wal_append(&WalRecord::quarantine(epoch, job, attempts, &note))?;
+                let incident = quarantine_incident(spec, key, attempts, &note);
+                return Ok(JobOutcome::Quarantined(incident));
+            }
+            self.wal_append(&WalRecord::fail(epoch, WORKER, job, attempts, &note))?;
+            let backoff = FIRST_BACKOFF_MS.saturating_mul(1 << (attempts - 1).min(8));
+            std::thread::sleep(Duration::from_millis(backoff.min(BACKOFF_CAP_MS)));
+        }
+    }
+
+    /// The stored result of job `idx`: its summary, plus the alerts
+    /// sidecar when the job is observed. `None` if either is missing or
+    /// unreadable.
+    fn stored(&self, idx: usize) -> Option<CampaignProjection> {
+        let key = &self.keys[idx];
+        let alerts = if self.jobs[idx].scenario.observe {
+            Some(self.store.get_alerts(key)?)
+        } else {
+            None
+        };
+        Some(CampaignProjection {
+            summary: self.store.get(key)?,
+            metrics: None,
+            alerts,
         })
     }
 
@@ -487,33 +418,18 @@ impl Farm {
         Ok(self.fold(workers)?.summary)
     }
 
-    /// Read every completed job's projection back from the store — its
-    /// summary, plus the alerts sidecar of an observed job — and fold
-    /// them in manifest job order. Non-terminal jobs are an error, and
-    /// so is an observed `Done` job missing its sidecar (the run-time
-    /// self-heal re-queues that wound before a settled run gets here).
+    /// Fold every completed job's stored projection in manifest job
+    /// order. Non-terminal jobs are an error, and so is a `Done` job
+    /// whose stored result is incomplete (the run-time self-heal
+    /// re-queues that wound before a settled run gets here).
     fn fold(&self, workers: usize) -> Result<Sweep, FarmError> {
         let mut fold = SweepFold::new(self.matrix.seed_start);
         for (idx, key) in self.keys.iter().enumerate() {
             match self.state.jobs[idx].status {
-                JobStatus::Done => {
-                    let missing = |what: &str| FarmError::MissingResult(format!("{key}{what}"));
-                    let summary = self.store.get(key).ok_or_else(|| missing(""))?;
-                    let alerts = if self.jobs[idx].scenario.observe {
-                        Some(
-                            self.store
-                                .get_alerts(key)
-                                .ok_or_else(|| missing(" (alerts)"))?,
-                        )
-                    } else {
-                        None
-                    };
-                    fold.absorb(CampaignProjection {
-                        summary,
-                        metrics: None,
-                        alerts,
-                    });
-                }
+                JobStatus::Done => fold.absorb(
+                    self.stored(idx)
+                        .ok_or_else(|| FarmError::MissingResult(key.clone()))?,
+                ),
                 JobStatus::Quarantined => {}
                 JobStatus::Pending | JobStatus::Leased => {
                     return Err(FarmError::MissingResult(format!(
@@ -525,8 +441,12 @@ impl Farm {
         Ok(fold.finish(workers))
     }
 
+    /// Append one record. Rides through lock poisoning: farm state
+    /// transitions are WAL-journaled, so a panicking worker can't leave
+    /// the in-memory view in a state the next replay wouldn't reproduce.
     fn wal_append(&self, record: &WalRecord) -> Result<(), FarmError> {
-        lock(&self.wal).append(record)
+        let mut wal = self.wal.lock().unwrap_or_else(PoisonError::into_inner);
+        wal.append(record)
     }
 
     fn append_and_apply(&mut self, record: &WalRecord) -> Result<(), FarmError> {
@@ -544,8 +464,7 @@ impl Farm {
             Err(_) => Vec::new(),
         };
         all.extend(fresh.iter().cloned());
-        fs::write(&path, serde_json::to_string_pretty(&all)?)?;
-        Ok(())
+        write_atomic(&path, 0, serde_json::to_string_pretty(&all)?)
     }
 }
 
@@ -553,69 +472,9 @@ impl Farm {
 enum JobOutcome {
     Ran,
     Cached,
-    Requeued,
-    Quarantined,
-}
-
-/// Lease, run (or cache-serve), and record one job. Store writes happen
-/// strictly before the WAL `complete` append — the crash-safety pivot —
-/// and for an observed job the alerts sidecar lands strictly before the
-/// summary, so a visible summary always has its alerts alongside it.
-#[allow(clippy::too_many_arguments)]
-fn process_job(
-    epoch: u64,
-    worker: u64,
-    job: u64,
-    spec: &JobSpec,
-    key: &str,
-    store: &ResultStore,
-    wal: &Mutex<Wal>,
-    shared: &Mutex<SharedQueue>,
-    max_attempts: u64,
-    backoff_base_ms: u64,
-) -> Result<JobOutcome, FarmError> {
-    lock(wal).append(&WalRecord::lease(epoch, worker, job))?;
-
-    let cache_complete =
-        store.contains(key) && (!spec.scenario.observe || store.get_alerts(key).is_some());
-    if cache_complete {
-        lock(wal).append(&WalRecord::complete(epoch, worker, job, true))?;
-        return Ok(JobOutcome::Cached);
-    }
-
-    let note = match run_job(spec, false) {
-        Ok(results) => {
-            let projection = CampaignProjection::of(&results);
-            if let Some(alerts) = &projection.alerts {
-                store.put_alerts(key, worker, alerts)?;
-            }
-            store.put(key, worker, &projection.summary)?;
-            lock(wal).append(&WalRecord::complete(epoch, worker, job, false))?;
-            return Ok(JobOutcome::Ran);
-        }
-        Err(failure) => failure.to_string(),
-    };
-
-    let attempts = {
-        let mut s = lock(shared);
-        s.attempts[job as usize] += 1;
-        s.attempts[job as usize]
-    };
-    if attempts >= max_attempts {
-        lock(wal).append(&WalRecord::quarantine(epoch, job, attempts, &note))?;
-        let mut s = lock(shared);
-        s.incidents
-            .push(quarantine_incident(spec, key, attempts, &note));
-        return Ok(JobOutcome::Quarantined);
-    }
-    lock(wal).append(&WalRecord::fail(epoch, worker, job, attempts, &note))?;
-    // Exponential backoff, capped so a poison job can't stall a drain.
-    let backoff = backoff_base_ms
-        .saturating_mul(1 << (attempts - 1).min(8))
-        .min(2_000);
-    std::thread::sleep(Duration::from_millis(backoff));
-    lock(shared).queue.push_back(job);
-    Ok(JobOutcome::Requeued)
+    Quarantined(IncidentRecord),
+    /// A stop or drain request came first; the job stays pending.
+    Stopped,
 }
 
 /// The serializable incident a quarantine produces — the farm-side
@@ -635,11 +494,4 @@ fn job_keys(jobs: &[JobSpec]) -> Result<Vec<String>, FarmError> {
     jobs.iter()
         .map(|j| j.key().map_err(FarmError::from))
         .collect()
-}
-
-/// Lock a mutex, riding through poisoning: farm state transitions are
-/// WAL-journaled, so a panicking worker can't leave the in-memory view
-/// in a state the next replay wouldn't reproduce.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }

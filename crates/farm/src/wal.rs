@@ -1,7 +1,7 @@
 //! The append-only, checksummed write-ahead log.
 //!
-//! Every queue transition (lease, completion, failure, quarantine,
-//! heartbeat, requeue, epoch start) is one framed record:
+//! Every queue transition (epoch start, lease, completion, failure,
+//! requeue, quarantine, drain) is one framed record:
 //!
 //! ```text
 //! ┌──────────────┬──────────────┬───────────────────┐
@@ -42,11 +42,9 @@ pub mod kind {
     pub const START: &str = "start";
     /// A worker took a job.
     pub const LEASE: &str = "lease";
-    /// A worker signalled liveness on its leased job.
-    pub const HEARTBEAT: &str = "heartbeat";
     /// A job finished; `cached` says whether the result store served it.
     pub const COMPLETE: &str = "complete";
-    /// An attempt failed; the job returns to the queue.
+    /// An attempt failed; the job is pending until its worker retries it.
     pub const FAIL: &str = "fail";
     /// A lease was declared orphaned (dead worker / stale epoch) and the
     /// job returned to the queue.
@@ -66,7 +64,8 @@ pub struct WalRecord {
     pub kind: String,
     /// Lease epoch the record belongs to (monotonic per `run` invocation).
     pub epoch: u64,
-    /// Worker index within its run (0-based).
+    /// Worker that wrote the record. Replay never reads it, and the
+    /// supervisor, whose pool does not name its threads, writes 0.
     pub worker: u64,
     /// Job index into the manifest's expanded job list.
     pub job: u64,
@@ -115,15 +114,6 @@ impl WalRecord {
             worker,
             job,
             ..WalRecord::base(kind::LEASE, epoch)
-        }
-    }
-
-    /// Worker `worker` is alive and still working `job`.
-    pub fn heartbeat(epoch: u64, worker: u64, job: u64) -> WalRecord {
-        WalRecord {
-            worker,
-            job,
-            ..WalRecord::base(kind::HEARTBEAT, epoch)
         }
     }
 
@@ -349,7 +339,6 @@ mod tests {
         vec![
             WalRecord::start(1),
             WalRecord::lease(1, 0, 0),
-            WalRecord::heartbeat(1, 0, 0),
             WalRecord::complete(1, 0, 0, false),
             WalRecord::lease(1, 1, 1),
             WalRecord::fail(1, 1, 1, 1, "poison phase detonated"),

@@ -6,10 +6,11 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use frostlab_core::watchdog::IncidentRecord;
 use frostlab_core::{MatrixSpec, ScenarioSpec};
 use frostlab_ensemble::{run_matrix_sweep, EnsembleAlerts};
 use frostlab_farm::supervisor::{ALERTS_FILE, INCIDENTS_FILE, MERGED_FILE, STORE_DIR, WAL_FILE};
-use frostlab_farm::wal::MAGIC;
+use frostlab_farm::wal::{replay_bytes, MAGIC};
 use frostlab_farm::{Farm, FarmError, RunOptions, Wal, WalRecord};
 
 /// Fresh scratch directory per test (unique across parallel test threads).
@@ -38,7 +39,6 @@ fn small_matrix() -> MatrixSpec {
 fn quiet(workers: usize) -> RunOptions {
     RunOptions {
         workers,
-        backoff_base_ms: 1,
         ..RunOptions::default()
     }
 }
@@ -130,36 +130,65 @@ fn poison_jobs_are_quarantined_without_wedging_the_queue() -> Result<(), FarmErr
         seed_start: 0,
         seeds: 2,
     };
-    let dir = scratch("poison");
-    let mut farm = Farm::submit(&dir, &matrix)?;
-    let outcome = farm.run(quiet(2))?;
+    for workers in [1usize, 2] {
+        let dir = scratch(&format!("poison{workers}"));
+        let mut farm = Farm::submit(&dir, &matrix)?;
+        let outcome = farm.run(quiet(workers))?;
 
-    assert!(outcome.settled, "poison must not wedge the queue");
-    assert_eq!(outcome.jobs_quarantined, 2, "both poison seeds quarantine");
-    assert_eq!(outcome.jobs_run, 2, "healthy jobs still complete");
-    let status = farm.status();
-    assert_eq!(status.quarantined, 2);
-    assert_eq!(status.done, 2);
+        assert!(outcome.settled, "poison must not wedge the queue");
+        assert_eq!(outcome.jobs_quarantined, 2, "both poison seeds quarantine");
+        assert_eq!(outcome.jobs_run, 2, "healthy jobs still complete");
+        let status = farm.status();
+        assert_eq!(status.quarantined, 2);
+        assert_eq!(status.done, 2);
 
-    // Quarantine leaves an incident ledger naming the job and its panic.
-    let incidents = std::fs::read_to_string(dir.join(INCIDENTS_FILE))?;
-    assert!(incidents.contains("job-quarantine"), "{incidents}");
-    assert!(
-        incidents.contains("quarantined after 3 attempts"),
-        "{incidents}"
-    );
-    assert!(incidents.contains("poison phase detonated"), "{incidents}");
+        // Each poison job (manifest indices 2 and 3) is retried in place
+        // by its worker until the third failure quarantines it.
+        let (records, _) = replay_bytes(&std::fs::read(dir.join(WAL_FILE))?)?;
+        assert!(records.iter().all(|r| r.kind != "heartbeat"));
+        for job in [2u64, 3] {
+            let trail: Vec<(&str, u64)> = records
+                .iter()
+                .filter(|r| r.job == job)
+                .map(|r| (r.kind.as_str(), r.attempt))
+                .collect();
+            assert_eq!(
+                trail,
+                [
+                    ("lease", 0),
+                    ("fail", 1),
+                    ("lease", 0),
+                    ("fail", 2),
+                    ("lease", 0),
+                    ("quarantine", 3)
+                ],
+                "job {job}, workers={workers}"
+            );
+        }
 
-    // The merge still lands: quarantined jobs are excluded, visibly.
-    let merged = std::fs::read_to_string(dir.join(MERGED_FILE))?;
-    assert!(merged.contains("\"campaigns\": 2"), "{merged}");
+        // Quarantine leaves an incident ledger naming the job and its
+        // panic, in manifest order at any worker count.
+        let text = std::fs::read_to_string(dir.join(INCIDENTS_FILE))?;
+        assert!(text.contains("job-quarantine"), "{text}");
+        assert!(text.contains("quarantined after 3 attempts"), "{text}");
+        assert!(text.contains("poison phase detonated"), "{text}");
+        let incidents: Vec<IncidentRecord> = serde_json::from_str(&text)?;
+        let subjects: Vec<&str> = incidents.iter().map(|i| i.subject.as_str()).collect();
+        assert_eq!(subjects.len(), 2, "{text}");
+        assert!(subjects[0].ends_with("(poison @ seed 0)"), "{text}");
+        assert!(subjects[1].ends_with("(poison @ seed 1)"), "{text}");
 
-    // A resume is a no-op: quarantine is terminal, nothing re-runs.
-    let again = farm.run(quiet(1))?;
-    assert_eq!(again.jobs_run, 0);
-    assert_eq!(again.jobs_quarantined, 0);
-    assert!(again.settled);
-    std::fs::remove_dir_all(&dir).ok();
+        // The merge still lands: quarantined jobs are excluded, visibly.
+        let merged = std::fs::read_to_string(dir.join(MERGED_FILE))?;
+        assert!(merged.contains("\"campaigns\": 2"), "{merged}");
+
+        // A resume is a no-op: quarantine is terminal, nothing re-runs.
+        let again = farm.run(quiet(1))?;
+        assert_eq!(again.jobs_run, 0);
+        assert_eq!(again.jobs_quarantined, 0);
+        assert!(again.settled);
+        std::fs::remove_dir_all(&dir).ok();
+    }
     Ok(())
 }
 
@@ -262,12 +291,16 @@ fn orphaned_leases_are_requeued_on_resume() -> Result<(), FarmError> {
     drop(Farm::submit(&dir, &matrix)?);
 
     // Forge the WAL a killed worker leaves behind: an epoch started, a
-    // job leased (with a heartbeat), and then silence — no completion.
+    // job leased, and then silence — no completion. The `heartbeat`
+    // record older farms wrote after a lease still replays (ignored).
     {
         let (mut wal, _, _) = Wal::open(&dir.join(WAL_FILE))?;
         wal.append(&WalRecord::start(1))?;
         wal.append(&WalRecord::lease(1, 0, 0))?;
-        wal.append(&WalRecord::heartbeat(1, 0, 0))?;
+        wal.append(&WalRecord {
+            kind: "heartbeat".to_string(),
+            ..WalRecord::lease(1, 0, 0)
+        })?;
     }
 
     let mut farm = Farm::open(&dir)?;

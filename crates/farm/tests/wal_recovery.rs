@@ -31,7 +31,11 @@ fn record_from(kind_idx: u8, epoch: u64, worker: u64, job: u64, attempt: u64) ->
     match kind_idx % 8 {
         0 => WalRecord::start(epoch),
         1 => WalRecord::lease(epoch, worker, job),
-        2 => WalRecord::heartbeat(epoch, worker, job),
+        // A legacy kind older farms wrote; replay ignores it.
+        2 => WalRecord {
+            kind: "heartbeat".to_string(),
+            ..WalRecord::lease(epoch, worker, job)
+        },
         3 => WalRecord::complete(epoch, worker, job, attempt.is_multiple_of(2)),
         4 => WalRecord::fail(epoch, worker, job, attempt, "generated failure"),
         5 => WalRecord::requeue(epoch, job, "generated orphan sweep"),

@@ -419,9 +419,10 @@ impl CampaignCtx {
                     chaos.loss_prob = loss;
                 }
             }
-            // Jitter delays frames but the 20-minute cadence dwarfs any
-            // per-hop delay, so a jitter burst is invisible at this layer;
-            // the frame-level effect lives in `frostlab_netsim::net`.
+            // Jitter only delays delivery, and the 20-minute cadence dwarfs
+            // any per-hop delay, so a jitter burst changes nothing a campaign
+            // records. The chaos engine still draws it, so the events after
+            // it keep their place in the schedule.
             ChaosEvent::JitterBurst { .. } => {}
             ChaosEvent::SwitchDeath { switch } => {
                 if !self.switch_up[switch] {

@@ -57,7 +57,7 @@ pub enum ScriptedEvent {
         /// Switch index (0 or 1).
         switch: usize,
     },
-    /// Network service restored (replacement unit installed).
+    /// The switch is back in service (replacement unit installed).
     SwitchRestored {
         /// Switch index.
         switch: usize,

@@ -20,39 +20,23 @@ use std::sync::mpsc;
 use frostlab_core::results::ExperimentResults;
 use frostlab_core::Scenario;
 
-/// Progress callback: `(completed_jobs, total_jobs)`, invoked on the
-/// caller's thread each time a job is merged (i.e. in index order).
-pub type ProgressFn<'a> = dyn Fn(u64, u64) + 'a;
-
 /// A deterministic parallel ensemble over jobs `0..jobs`.
-pub struct Ensemble<'a> {
+pub struct Ensemble {
     jobs: u64,
     threads: usize,
-    progress: Option<Box<ProgressFn<'a>>>,
 }
 
-impl<'a> Ensemble<'a> {
+impl Ensemble {
     /// An ensemble of `jobs` independent jobs (indices `0..jobs`).
-    pub fn new(jobs: u64) -> Ensemble<'a> {
-        Ensemble {
-            jobs,
-            threads: 0,
-            progress: None,
-        }
+    pub fn new(jobs: u64) -> Ensemble {
+        Ensemble { jobs, threads: 0 }
     }
 
     /// Worker threads to use. `0` (the default) means
     /// `std::thread::available_parallelism()`. The thread count never
     /// affects results, only wall-clock.
-    pub fn threads(mut self, threads: usize) -> Ensemble<'a> {
+    pub fn threads(mut self, threads: usize) -> Ensemble {
         self.threads = threads;
-        self
-    }
-
-    /// Install a progress hook, called as `(done, total)` after each job
-    /// is merged, in job order, on the calling thread.
-    pub fn on_progress(mut self, f: impl Fn(u64, u64) + 'a) -> Ensemble<'a> {
-        self.progress = Some(Box::new(f));
         self
     }
 
@@ -96,9 +80,6 @@ impl<'a> Ensemble<'a> {
             // Serial reference path: same fold order by construction.
             for i in 0..total {
                 sink(i, job(i));
-                if let Some(p) = &self.progress {
-                    p(i + 1, total);
-                }
             }
             return;
         }
@@ -131,9 +112,6 @@ impl<'a> Ensemble<'a> {
                 while let Some(r) = pending.remove(&frontier) {
                     sink(frontier, r);
                     frontier += 1;
-                    if let Some(p) = &self.progress {
-                        p(frontier, total);
-                    }
                 }
             }
             debug_assert_eq!(frontier, total, "all jobs merged");
@@ -187,16 +165,6 @@ mod tests {
                 "threads={threads}"
             );
         }
-    }
-
-    #[test]
-    fn progress_is_monotonic_and_complete() {
-        let seen = RefCell::new(Vec::new());
-        Ensemble::new(9)
-            .threads(3)
-            .on_progress(|done, total| seen.borrow_mut().push((done, total)))
-            .run_map(|i| i, |_, _| {});
-        assert_eq!(*seen.borrow(), (1..=9).map(|d| (d, 9)).collect::<Vec<_>>());
     }
 
     #[test]

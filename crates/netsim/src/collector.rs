@@ -86,7 +86,7 @@ pub enum CollectOutcome {
         /// Literal bytes shipped by rsync (the real transfer volume).
         literal_bytes: usize,
     },
-    /// Network path down (switch failure, hung host): nothing transferred.
+    /// Collection path down (switch failure, hung host): nothing transferred.
     Unreachable {
         /// How stale this host's mirror is — time since the last successful
         /// round (zero if the host has never been reached).
@@ -424,26 +424,28 @@ mod tests {
 
     #[test]
     fn first_round_ships_everything() {
-        let (mut c, mut h) = setup();
-        h.append(
-            "md5sums.log",
-            b"0cc175b9c0f1b6a831c399e269772661 run-0001\n",
-        );
-        let out = c.collect(&mut h, true, SimTime::from_secs(1200));
-        match out {
-            CollectOutcome::Success {
-                files_updated,
-                literal_bytes,
-            } => {
-                assert_eq!(files_updated, 1);
-                assert_eq!(literal_bytes, 42);
+        // A single sub-block line, and a 200-line log spanning many blocks.
+        let line = b"0cc175b9c0f1b6a831c399e269772661 run-0001\n".to_vec();
+        let log: Vec<u8> = (0..200)
+            .flat_map(|i| format!("2010-03-{:02} {:032x} run\n", i % 28 + 1, i * 31).into_bytes())
+            .collect();
+        assert!(log.len() > 16 * RSYNC_BLOCK);
+        for content in [line, log] {
+            let (mut c, mut h) = setup();
+            h.append("md5sums.log", &content);
+            let out = c.collect(&mut h, true, SimTime::from_secs(1200));
+            match out {
+                CollectOutcome::Success {
+                    files_updated,
+                    literal_bytes,
+                } => {
+                    assert_eq!(files_updated, 1);
+                    assert_eq!(literal_bytes, content.len());
+                }
+                other => panic!("{other:?}"),
             }
-            other => panic!("{other:?}"),
+            assert_eq!(c.mirrored(15, "md5sums.log").unwrap(), &content[..]);
         }
-        assert_eq!(
-            c.mirrored(15, "md5sums.log").unwrap(),
-            h.file("md5sums.log").unwrap()
-        );
     }
 
     #[test]

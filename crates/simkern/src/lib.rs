@@ -1,16 +1,11 @@
 //! # frostlab-simkern
 //!
-//! Deterministic discrete-event simulation kernel for the frostlab workspace.
+//! Deterministic time and randomness for the frostlab workspace.
 //!
-//! The kernel is deliberately small and synchronous, in the spirit of
-//! event-driven network stacks such as smoltcp: there is no async runtime, no
-//! background threads, and no hidden allocation on the hot path. A simulation
-//! is a loop that pops timestamped events from an [`EventQueue`] and lets the
-//! caller dispatch them against its own world state. This sidesteps the
-//! callback-vs-borrow-checker fight entirely and keeps execution order
-//! trivially auditable.
-//!
-//! Three pillars:
+//! Campaigns are tick-driven: the core crate steps a fixed cadence and each
+//! phase reads the clock, so the kernel needs no event queue. It is small
+//! and synchronous: no async runtime, no background threads, and no hidden
+//! allocation on the hot path. Two pillars:
 //!
 //! * [`time`] — simulation time as integer seconds since the experiment epoch
 //!   (2010-01-01 00:00 local), with full civil-calendar conversion so scenario
@@ -20,33 +15,24 @@
 //!   need (normal, exponential, Weibull, lognormal, Poisson). Implemented here
 //!   rather than via the `rand` crate so that every figure in EXPERIMENTS.md
 //!   stays bit-for-bit reproducible regardless of dependency versions.
-//! * [`event`] — a deterministic priority queue with stable FIFO tie-breaking
-//!   for simultaneous events.
 //!
 //! ## Example
 //!
 //! ```
-//! use frostlab_simkern::event::EventQueue;
-//! use frostlab_simkern::time::{SimTime, SimDuration};
+//! use frostlab_simkern::rng::Rng;
+//! use frostlab_simkern::time::{SimDuration, SimTime};
 //!
-//! #[derive(Debug, PartialEq)]
-//! enum Ev { Tick, Done }
-//!
-//! let mut q = EventQueue::new();
-//! q.schedule(SimTime::ZERO + SimDuration::minutes(10), Ev::Tick);
-//! q.schedule(SimTime::ZERO + SimDuration::hours(1), Ev::Done);
-//! let (t, ev) = q.pop().unwrap();
-//! assert_eq!(ev, Ev::Tick);
-//! assert_eq!(t.as_secs(), 600);
+//! let t = SimTime::ZERO + SimDuration::minutes(20);
+//! assert_eq!(t.as_secs(), 1200);
+//! let (mut a, mut b) = (Rng::new(7).derive("collector"), Rng::new(7).derive("collector"));
+//! assert_eq!(a.next_u64(), b.next_u64());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
 pub mod rng;
 pub mod time;
 
-pub use event::EventQueue;
 pub use rng::Rng;
 pub use time::{Date, DateTime, SimDuration, SimTime, TimeError};

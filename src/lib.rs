@@ -12,14 +12,14 @@
 //!
 //! | crate | what it models |
 //! |---|---|
-//! | [`simkern`] | event queue, simulation time, deterministic PRNG |
+//! | [`simkern`] | simulation time, deterministic PRNG |
 //! | [`climate`] | Helsinki winter 2010 (and the Intel/HP comparison climates) |
 //! | [`thermal`] | the tent (R/I/B/F mods), the basement, server chassis |
 //! | [`hardware`] | vendors A/B/C, sensors, non-ECC DIMMs, disks, RAID, switches |
 //! | [`faults`] | Arrhenius/Peck/Coffin–Manson hazards, injection, repair policy |
 //! | [`compress`] | tar, bzip2-style block compression, MD5, `bzip2recover` |
 //! | [`workload`] | the 10-minute pack-verify load with 0–119 s jitter |
-//! | [`netsim`] | frames, learning switches, mini reliable transport, rsync, ssh-ish auth |
+//! | [`netsim`] | the 20-minute collection round: ssh-ish auth, rsync deltas, catch-up retries |
 //! | [`telemetry`] | Lascar logger, Technoline meter, outlier removal |
 //! | [`energy`] | CRAC/HVAC plant, PUE, air-economizer comparison |
 //! | [`analysis`] | Wilson intervals, exposure estimates, report tables |

@@ -1,17 +1,11 @@
 //! Cross-crate pipeline tests below campaign scale: the workload forensic
-//! chain, the collection pipeline over the real frame-level network, and
-//! the weather→tent→psychrometrics consistency loop.
+//! chain and the weather→tent→psychrometrics consistency loop.
 
-use bytes::Bytes;
 use frostlab::climate::presets;
 use frostlab::climate::psychro;
 use frostlab::climate::weather::WeatherModel;
 use frostlab::compress::md5::md5_hex;
 use frostlab::compress::recover::recover;
-use frostlab::netsim::collector::{CollectOutcome, Collector, MonitoredHost};
-use frostlab::netsim::frame::{Frame, MacAddr};
-use frostlab::netsim::net::Network;
-use frostlab::netsim::transport::{drive_until_idle, Endpoint};
 use frostlab::simkern::rng::Rng;
 use frostlab::simkern::time::{SimDuration, SimTime};
 use frostlab::thermal::enclosure::Enclosure;
@@ -42,70 +36,6 @@ fn forensic_chain_job_to_recover() {
     let report = recover(&archive);
     assert!(report.corrupted_count() <= 1);
     assert!(report.total_blocks() > 300);
-}
-
-#[test]
-fn collection_over_real_frames() {
-    // Move a host's md5 log to the collector over the actual simulated
-    // switch fabric with loss, using the reliable transport, then rsync the
-    // content into the mirror and verify byte equality.
-    let rng = Rng::new(5);
-    let mut net = Network::new(&rng);
-    net.loss_prob = 0.05;
-    let sw = net.add_switch();
-    let host_mac = MacAddr::from_id(3);
-    let coll_mac = MacAddr::from_id(100);
-    net.add_host(host_mac);
-    net.add_host(coll_mac);
-    net.attach_host(host_mac, sw, 0).expect("free port");
-    net.attach_host(coll_mac, sw, 1).expect("free port");
-
-    // The host-side log content.
-    let log: Vec<u8> = (0..200)
-        .flat_map(|i| format!("2010-03-{:02} {:032x} run\n", i % 28 + 1, i * 31).into_bytes())
-        .collect();
-
-    // Ship it in 512-byte messages over the lossy fabric.
-    let mut tx = Endpoint::new(host_mac, coll_mac);
-    let mut rx = Endpoint::new(coll_mac, host_mac);
-    for chunk in log.chunks(512) {
-        tx.send(Bytes::copy_from_slice(chunk));
-    }
-    drive_until_idle(
-        &mut net,
-        &mut tx,
-        &mut rx,
-        SimTime::ZERO,
-        SimDuration::secs(2),
-        SimTime::from_secs(86_400),
-    );
-    let received: Vec<u8> = rx.take_delivered().into_iter().flatten().collect();
-    assert_eq!(
-        received, log,
-        "transport must reassemble the log byte-exactly"
-    );
-    assert!(
-        tx.retransmissions > 0,
-        "loss should have forced retransmissions"
-    );
-
-    // Now run a collection round against a MonitoredHost carrying that log.
-    let mut crng = Rng::new(6);
-    let mut collector = Collector::new(&mut crng);
-    let mut mhost = MonitoredHost::new(3, &mut crng, vec![collector.key.public]);
-    mhost.append("md5sums-0307.log", &received);
-    let outcome = collector.collect(&mut mhost, true, SimTime::from_secs(1200));
-    match outcome {
-        CollectOutcome::Success {
-            files_updated,
-            literal_bytes,
-        } => {
-            assert_eq!(files_updated, 1);
-            assert_eq!(literal_bytes, log.len(), "first sync ships everything");
-        }
-        other => panic!("collection failed: {other:?}"),
-    }
-    assert_eq!(collector.mirrored(3, "md5sums-0307.log").unwrap(), &log[..]);
 }
 
 #[test]
@@ -164,43 +94,4 @@ fn tent_modifications_cool_a_simulated_cold_week() {
         initial - modified > 8.0,
         "modifications should cool the tent substantially: {initial:.1} → {modified:.1}"
     );
-}
-
-#[test]
-fn broadcast_storm_does_not_duplicate_transport_messages() {
-    // Flood-heavy startup (empty MAC tables) must not confuse the reliable
-    // transport: payloads arrive exactly once, in order.
-    let rng = Rng::new(21);
-    let mut net = Network::new(&rng);
-    let sw0 = net.add_switch();
-    let sw1 = net.add_switch();
-    net.link_switches(sw0, 7, sw1, 7).expect("free ports");
-    let a_mac = MacAddr::from_id(1);
-    let b_mac = MacAddr::from_id(2);
-    net.add_host(a_mac);
-    net.add_host(b_mac);
-    net.attach_host(a_mac, sw0, 0).expect("free port");
-    net.attach_host(b_mac, sw1, 0).expect("free port");
-    // A few broadcast frames stir the fabric.
-    for i in 0..5 {
-        net.send(
-            Frame::new(a_mac, MacAddr::BROADCAST, Bytes::from_static(b"arp?")),
-            SimTime::from_secs(i),
-        );
-    }
-    let mut tx = Endpoint::new(a_mac, b_mac);
-    let mut rx = Endpoint::new(b_mac, a_mac);
-    let msgs: Vec<Bytes> = (0..30).map(|i| Bytes::from(format!("m{i}"))).collect();
-    for m in &msgs {
-        tx.send(m.clone());
-    }
-    drive_until_idle(
-        &mut net,
-        &mut tx,
-        &mut rx,
-        SimTime::from_secs(10),
-        SimDuration::secs(2),
-        SimTime::from_secs(3600),
-    );
-    assert_eq!(rx.take_delivered(), msgs);
 }

@@ -382,14 +382,16 @@ impl TickPhase for ScriptPhase {
 /// [`crate::fleet_state::FleetState`] once into disjoint column borrows and
 /// walks the flat arrays — O(hosts) per tick, no indexed re-borrow per
 /// field access. All scratch (the deferred hang/withdrawal lists, the log
-/// line buffer, the day-cached log file names) is phase-owned and reused,
-/// so the hot loop performs zero heap allocations per tick.
+/// line buffer, the tick's timestamp, the day-cached log file names) is
+/// phase-owned and reused, so the hot loop performs zero heap allocations
+/// per tick and formats the tick's date-time once, not once per line.
 #[derive(Debug)]
 pub struct HostStepPhase {
     next_fault_poll: SimTime,
     hangs: Vec<(usize, SimTime)>,
     withdrawals: Vec<usize>,
     line_buf: String,
+    stamp: String,
     sensors_log: String,
     md5sums_log: String,
     log_day: (u32, u32),
@@ -403,6 +405,7 @@ impl HostStepPhase {
             hangs: Vec::new(),
             withdrawals: Vec::new(),
             line_buf: String::new(),
+            stamp: String::new(),
             sensors_log: String::new(),
             md5sums_log: String::new(),
             log_day: (0, 0),
@@ -432,6 +435,9 @@ impl TickPhase for HostStepPhase {
             self.sensors_log = daily_log("sensors", t);
             self.md5sums_log = daily_log("md5sums", t);
         }
+        // Every log line this tick starts with the same date-time.
+        self.stamp.clear();
+        let _ = write!(self.stamp, "{}", t.datetime());
 
         // Borrow the context once into disjoint pieces; the fleet columns
         // split again so every per-host field is a flat slice access.
@@ -495,20 +501,10 @@ impl TickPhase for HostStepPhase {
             // Sensor log.
             if t >= next_sensor_log[i] {
                 self.line_buf.clear();
+                self.line_buf.push_str(&self.stamp);
                 let _ = match sensor_reading {
-                    Some(v) => writeln!(
-                        self.line_buf,
-                        "{} cpu={:.1} rh={:.0}",
-                        t.datetime(),
-                        v,
-                        encl.air_rh_pct
-                    ),
-                    None => writeln!(
-                        self.line_buf,
-                        "{} cpu=n/a rh={:.0}",
-                        t.datetime(),
-                        encl.air_rh_pct
-                    ),
+                    Some(v) => writeln!(self.line_buf, " cpu={v:.1} rh={:.0}", encl.air_rh_pct),
+                    None => writeln!(self.line_buf, " cpu=n/a rh={:.0}", encl.air_rh_pct),
                 };
                 stores[i].append(&self.sensors_log, self.line_buf.as_bytes());
                 next_sensor_log[i] = t + sensor_log_interval;
@@ -582,7 +578,10 @@ impl TickPhase for HostStepPhase {
                     );
                 }
                 self.line_buf.clear();
-                let _ = writeln!(self.line_buf, "{} {} run", t.datetime(), outcome.hash);
+                self.line_buf.push_str(&self.stamp);
+                self.line_buf.push(' ');
+                self.line_buf.push_str(&outcome.hash);
+                self.line_buf.push_str(" run\n");
                 stores[i].append(&self.md5sums_log, self.line_buf.as_bytes());
                 if !outcome.hash_ok {
                     workload.record_hash_error(plans[i].id, placement[i], t);
@@ -810,6 +809,61 @@ mod tests {
         phase.step(&mut ctx);
         // No panic, event consumed: a second step must not re-fire it.
         phase.step(&mut ctx);
+    }
+
+    #[test]
+    fn host_step_stamps_every_log_line_with_its_own_tick() {
+        // The goldens pin line lengths, not which tick a stamp came from:
+        // check each new line against the tick that wrote it.
+        let cfg = ExperimentConfig::short(1, 3);
+        let mut phase = HostStepPhase::new(&cfg);
+        let tick = cfg.tick;
+        let mut ctx = ctx_at(cfg);
+        ctx.now = *ctx.fleet.install_at.iter().min().expect("a fleet");
+        let hosts = ctx.fleet.len();
+        let log_len = |ctx: &CampaignCtx, i: usize, name: &str| {
+            ctx.fleet.stores[i].file(name).map_or(0, <[u8]>::len)
+        };
+        let (mut md5_ticks, mut sensor_ticks) = (Vec::new(), Vec::new());
+        for _ in 0..30 {
+            let t = ctx.now;
+            let (md5sums, sensors) = (daily_log("md5sums", t), daily_log("sensors", t));
+            let before: Vec<(usize, usize)> = (0..hosts)
+                .map(|i| (log_len(&ctx, i, &md5sums), log_len(&ctx, i, &sensors)))
+                .collect();
+            phase.step(&mut ctx);
+            let stamp = t.datetime().to_string();
+            for (i, &(md5_from, sensor_from)) in before.iter().enumerate() {
+                let store = &ctx.fleet.stores[i];
+                let golden = format!("{} {} run\n", t.datetime(), ctx.fleet.jobs[i].golden_hash());
+                if let Some(log) = store.file(&md5sums) {
+                    for line in log[md5_from..].split_inclusive(|&b| b == b'\n') {
+                        assert_eq!(
+                            line,
+                            golden.as_bytes(),
+                            "md5sums line of host {i} at {stamp}"
+                        );
+                        md5_ticks.push(t);
+                    }
+                }
+                if let Some(log) = store.file(&sensors) {
+                    for line in log[sensor_from..].split_inclusive(|&b| b == b'\n') {
+                        assert!(
+                            line.starts_with(stamp.as_bytes()) && line.ends_with(b"\n"),
+                            "sensors line of host {i} at {stamp}: {}",
+                            String::from_utf8_lossy(line)
+                        );
+                        sensor_ticks.push(t);
+                    }
+                }
+            }
+            ctx.now += tick;
+        }
+        // Lines came from more than one tick, so a stale stamp would show.
+        md5_ticks.dedup();
+        sensor_ticks.dedup();
+        assert!(md5_ticks.len() >= 2, "md5sums lines at {md5_ticks:?}");
+        assert!(sensor_ticks.len() >= 2, "sensors lines at {sensor_ticks:?}");
     }
 
     #[test]

@@ -319,8 +319,12 @@ mod tests {
     use super::*;
 
     fn wal_image(records: &[WalRecord]) -> Vec<u8> {
+        // Parallel tests can call this within one millisecond; the
+        // sequence number keeps their directories apart.
+        static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!(
-            "frostlab-wal-test-{}-{}",
+            "frostlab-wal-test-{}-{}-{seq}",
             std::process::id(),
             now_unix_ms()
         ));

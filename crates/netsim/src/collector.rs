@@ -9,7 +9,10 @@
 //! [`Collector`] mirrors each host's little log directory. A round against
 //! one host: authenticate ([`crate::auth`]), exchange rsync signatures and
 //! deltas per file ([`crate::rsyncp`]), update the mirror, account the
-//! literal bytes that crossed the wire.
+//! literal bytes that crossed the wire. The hosts' logs only grow, so the
+//! mirror of a file is the synced prefix of the host's own log: the
+//! collector keeps an [`rsyncp::AppendSync`] index per file, not a second
+//! copy of the bytes.
 //!
 //! When a host cannot be reached (§4.2.1's switch deaths, a hung machine)
 //! the round records an [`CollectOutcome::Unreachable`] outcome carrying the
@@ -35,6 +38,9 @@ use crate::rsyncp;
 pub const RSYNC_BLOCK: usize = 512;
 
 /// A monitored host's log store plus its SSH acceptor.
+///
+/// The logs only grow: [`MonitoredHost::append`] is the only writer. The
+/// [`Collector`] relies on that contract to keep no copy of the bytes.
 #[derive(Debug, Clone)]
 pub struct MonitoredHost {
     /// Paper host number.
@@ -197,7 +203,7 @@ pub struct Collector {
     pub interval: SimDuration,
     /// Catch-up retry schedule.
     pub retry: RetryPolicy,
-    mirrors: BTreeMap<u32, BTreeMap<String, rsyncp::CachedSync>>,
+    mirrors: BTreeMap<u32, BTreeMap<String, rsyncp::AppendSync>>,
     history: Vec<CollectRecord>,
     /// Root of the per-host jitter streams (derived, so creating it does not
     /// perturb the caller's RNG draws).
@@ -226,9 +232,11 @@ impl Collector {
         }
     }
 
-    /// The mirror of one host's file, as of the last successful round.
-    pub fn mirrored(&self, host: u32, file: &str) -> Option<&[u8]> {
-        self.mirrors.get(&host)?.get(file).map(|m| m.data())
+    /// The mirror of one host's file, as of the last successful round: the
+    /// synced prefix of the host's own log.
+    pub fn mirrored<'a>(&self, host: &'a MonitoredHost, file: &str) -> Option<&'a [u8]> {
+        let synced = self.mirrors.get(&host.id)?.get(file)?.synced_len();
+        Some(&host.file(file)?[..synced])
     }
 
     /// All attempts so far.
@@ -324,15 +332,19 @@ impl Collector {
                     for (name, content) in &host.files {
                         // rsync's quick check: skip files whose size matches
                         // the mirror (the hosts' logs are append-only, so a
-                        // same-size file is an unchanged file).
-                        let old_len = mirror.get(name).map(|m| m.data().len());
-                        if old_len == Some(content.len()) {
-                            continue;
-                        }
-                        let entry = mirror
-                            .entry(name.clone())
-                            .or_insert_with(|| rsyncp::CachedSync::new(RSYNC_BLOCK));
-                        let delta = entry.sync_from(content);
+                        // same-size file is an unchanged file). Look up
+                        // before inserting, so a file name is allocated once
+                        // per file, not once per round.
+                        let delta = match mirror.get_mut(name.as_str()) {
+                            Some(m) if m.synced_len() == content.len() => continue,
+                            Some(m) => m.sync_from(content),
+                            None => {
+                                let mut m = rsyncp::AppendSync::new(RSYNC_BLOCK);
+                                let delta = m.sync_from(content);
+                                mirror.insert(name.clone(), m);
+                                delta
+                            }
+                        };
                         literal_bytes += delta.literal_bytes();
                         files_updated += 1;
                     }
@@ -444,7 +456,7 @@ mod tests {
                 }
                 other => panic!("{other:?}"),
             }
-            assert_eq!(c.mirrored(15, "md5sums.log").unwrap(), &content[..]);
+            assert_eq!(c.mirrored(&h, "md5sums.log").unwrap(), &content[..]);
         }
     }
 
@@ -495,7 +507,7 @@ mod tests {
             },
             "gap measured from the last good round"
         );
-        assert_eq!(c.mirrored(15, "md5sums.log").unwrap(), b"before-failure\n");
+        assert_eq!(c.mirrored(&h, "md5sums.log").unwrap(), b"before-failure\n");
         assert_eq!(
             c.staleness(15, SimTime::from_secs(3000)),
             Some(SimDuration::secs(1800))
@@ -510,7 +522,7 @@ mod tests {
             }
         ));
         assert_eq!(
-            c.mirrored(15, "md5sums.log").unwrap(),
+            c.mirrored(&h, "md5sums.log").unwrap(),
             b"before-failure\nduring-switch-outage\n"
         );
         // …and the healed outage is on the books.
@@ -596,7 +608,7 @@ mod tests {
         h.append("f", b"data");
         let out = c.collect(&mut h, true, SimTime::from_secs(0));
         assert_eq!(out, CollectOutcome::AuthFailed(HandshakeResult::UnknownKey));
-        assert!(c.mirrored(3, "f").is_none());
+        assert!(c.mirrored(&h, "f").is_none());
         // Auth failures also enter the retry schedule (the operators would
         // investigate, but the collector keeps knocking).
         assert!(c.next_retry(3).is_some());
@@ -627,9 +639,9 @@ mod tests {
         h2.append("md5sums.log", b"bbb\n");
         c.collect(&mut h1, true, SimTime::from_secs(0));
         c.collect(&mut h2, true, SimTime::from_secs(0));
-        assert_eq!(c.mirrored(1, "md5sums.log").unwrap(), b"aaa\n");
-        assert_eq!(c.mirrored(1, "sensors.log").unwrap(), b"t=-5\n");
-        assert_eq!(c.mirrored(2, "md5sums.log").unwrap(), b"bbb\n");
-        assert!(c.mirrored(2, "sensors.log").is_none());
+        assert_eq!(c.mirrored(&h1, "md5sums.log").unwrap(), b"aaa\n");
+        assert_eq!(c.mirrored(&h1, "sensors.log").unwrap(), b"t=-5\n");
+        assert_eq!(c.mirrored(&h2, "md5sums.log").unwrap(), b"bbb\n");
+        assert!(c.mirrored(&h2, "sensors.log").is_none());
     }
 }

@@ -11,12 +11,14 @@
 //! round of this pipeline against it:
 //!
 //! * [`rsyncp`] — the actual rsync algorithm: rolling weak checksum + MD5
-//!   strong checksum signatures, delta computation and application;
+//!   strong checksum signatures, delta computation and application, and
+//!   `AppendSync`, the receiver's block index over an append-only log;
 //! * [`auth`] — a toy Diffie–Hellman-flavoured handshake modelling the
 //!   OpenSSH public-key session setup (NOT cryptography; a protocol-flow
 //!   model, clearly labelled);
 //! * [`collector`] — the 20-minute collection round: authenticate, exchange
-//!   signatures, ship deltas, mirror the fleet's logs.
+//!   signatures, ship deltas, mirror the fleet's logs (each mirror is the
+//!   synced prefix of the host's own log).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

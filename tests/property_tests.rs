@@ -87,6 +87,43 @@ proptest! {
     }
 
     #[test]
+    fn append_sync_matches_stock_sync(
+        block in 1usize..65,
+        appends in proptest::collection::vec((0u8..4, 0usize..160, any::<u64>()), 1..24),
+    ) {
+        // A log that only grows, over a three-letter alphabet so weak
+        // digests collide. Some appends repeat an earlier full block or an
+        // earlier byte range, so the index's match path fires; some add
+        // nothing (a same-size round).
+        let mut log: Vec<u8> = Vec::new();
+        let mut synced: Vec<u8> = Vec::new();
+        let mut index = rsyncp::AppendSync::new(block);
+        for (kind, len, seed) in appends {
+            let mut rng = Rng::new(seed);
+            let grown: Vec<u8> = match kind {
+                0 => (0..len).map(|_| b"abc"[rng.below(3) as usize]).collect(),
+                1 if log.len() >= block => {
+                    let b = rng.below((log.len() / block) as u64) as usize;
+                    log[b * block..(b + 1) * block].to_vec()
+                }
+                2 if !log.is_empty() => {
+                    let start = rng.below(log.len() as u64) as usize;
+                    log[start..(start + len).min(log.len())].to_vec()
+                }
+                _ => Vec::new(),
+            };
+            log.extend_from_slice(&grown);
+            let (_, stock) = rsyncp::sync(&synced, &log, block);
+            let delta = index.sync_from(&log);
+            prop_assert_eq!(delta.literal_bytes(), stock.literal_bytes());
+            prop_assert_eq!(delta.copy_count(), stock.copy_count());
+            prop_assert_eq!(rsyncp::apply(&synced, block, &delta).expect("own blocks"), log.clone());
+            prop_assert_eq!(index.synced_len(), log.len());
+            synced = log.clone();
+        }
+    }
+
+    #[test]
     fn tar_roundtrips(files in proptest::collection::vec(
         (proptest::string::string_regex("[a-z]{1,12}(/[a-z]{1,12}){0,3}").expect("valid regex"),
          proptest::collection::vec(any::<u8>(), 0..2048)),

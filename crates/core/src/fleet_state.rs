@@ -7,10 +7,9 @@
 //!
 //! * **hot columns** (`install_at`, `busy_until`, `last_wall_w`, …) — plain
 //!   scalars read/written every tick, one cache line streams many hosts;
-//! * **kernel banks** — chassis thermals in a
-//!   [`CaseBank`] and hardware state in a
-//!   [`HostBank`], both bit-identical
-//!   ports of the per-host object models;
+//! * **kernel banks** — chassis thermals in a [`CaseBank`] and hardware
+//!   state in a [`HostBank`], the one model of each (the prototype weekend
+//!   runs one-row banks);
 //! * **cold objects** (`jobs`, `schedules`, `faults`, `records`, `stores`)
 //!   — stateful machines touched at event cadence (10-minute runs, 5-minute
 //!   fault polls, 20-minute collections), kept as parallel object vectors.
@@ -41,7 +40,7 @@ use frostlab_hardware::server::{ServerSpec, Vendor};
 use frostlab_netsim::collector::MonitoredHost;
 use frostlab_simkern::time::SimTime;
 use frostlab_thermal::bank::CaseBank;
-use frostlab_thermal::server_case::ServerThermalParams;
+use frostlab_thermal::bank::ServerThermalParams;
 use frostlab_workload::job::JobRunner;
 use frostlab_workload::schedule::LoadSchedule;
 use frostlab_workload::stats::Placement;

@@ -422,7 +422,6 @@ impl TickPhase for HostStepPhase {
         use std::fmt::Write as _;
         let t = ctx.now;
         let dt_secs = ctx.dt_secs;
-        let dt_hours = ctx.dt_hours;
         let fault_poll_due = t >= self.next_fault_poll;
         let stochastic = ctx.cfg.fault_mode == FaultMode::Stochastic;
         let sensor_log_interval = ctx.cfg.sensor_log_interval;
@@ -495,7 +494,6 @@ impl TickPhase for HostStepPhase {
             thermal.step_one(i, dt_secs, encl.air_temp_c, cpu_w, dc_w);
             cpu_temp_c[i] = thermal.cpu_temp_c(i);
             last_wall_w[i] = hw.wall_power_w(i, util);
-            hw.tick(i, dt_hours, thermal.hdd_temp_c(i));
             let sensor_reading = hw.sensor_read_cpu_temp(i, cpu_temp_c[i]);
 
             // Sensor log.

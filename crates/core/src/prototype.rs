@@ -8,11 +8,12 @@
 
 use frostlab_climate::station::{StationConfig, WeatherStation};
 use frostlab_climate::weather::WeatherModel;
-use frostlab_hardware::server::{Server, ServerSpec};
+use frostlab_hardware::columns::HostBank;
+use frostlab_hardware::server::ServerSpec;
 use frostlab_simkern::rng::Rng;
 use frostlab_simkern::time::{SimDuration, SimTime};
+use frostlab_thermal::bank::{CaseBank, ServerThermalParams};
 use frostlab_thermal::enclosure::{Enclosure, PlasticBoxes};
-use frostlab_thermal::server_case::{ServerCaseThermal, ServerThermalParams};
 
 use crate::config::ExperimentConfig;
 
@@ -25,8 +26,6 @@ pub struct PrototypeReport {
     pub outside_mean_c: f64,
     /// Minimum CPU temperature reported by lm-sensors, °C (paper: −4).
     pub cpu_min_c: f64,
-    /// Minimum drive temperature from S.M.A.R.T., °C.
-    pub hdd_min_c: f64,
     /// Did the machine stay operational the whole weekend?
     pub survived: bool,
     /// Did the drives pass their self-tests afterwards?
@@ -44,8 +43,11 @@ pub fn run_prototype(cfg: &ExperimentConfig) -> PrototypeReport {
 
     let first = wx.sample_at(start);
     let mut boxes = PlasticBoxes::new(&first);
-    let mut server = Server::new(ServerSpec::vendor_a());
-    let mut thermal = ServerCaseThermal::new(ServerThermalParams::vendor_a_tower(), first.temp_c);
+    let spec = ServerSpec::vendor_a();
+    let mut server = HostBank::new();
+    let host = server.push_host(&spec);
+    let mut thermal = CaseBank::new();
+    thermal.push(&ServerThermalParams::vendor_a_tower(), first.temp_c);
 
     let mut outside_min = f64::INFINITY;
     let mut outside_sum = 0.0;
@@ -60,30 +62,25 @@ pub fn run_prototype(cfg: &ExperimentConfig) -> PrototypeReport {
         }
         let weather = wx.sample_at(t);
         // The prototype idled (no synthetic load yet): ~idle power.
-        let spec = &server.spec;
         boxes.step(60.0, &weather, spec.idle_power_w);
         let state = boxes.state();
-        thermal.step(60.0, state.air_temp_c, spec.cpu_idle_w, spec.idle_power_w);
-        server.sensors.read_cpu_temp(thermal.cpu_temp_c());
-        server.tick(1.0 / 60.0, thermal.hdd_temp_c());
+        thermal.step_one(
+            host,
+            60.0,
+            state.air_temp_c,
+            spec.cpu_idle_w,
+            spec.idle_power_w,
+        );
+        server.sensor_read_cpu_temp(host, thermal.cpu_temp_c(host));
         t += tick;
     }
 
-    let smart_ok = server.storage.all_long_tests_pass();
-    let hdd_min = {
-        let mut min = f64::INFINITY;
-        server.storage.for_each_disk_mut(|d| {
-            min = min.min(d.smart().min_temperature_c);
-        });
-        min
-    };
     PrototypeReport {
         outside_min_c: outside_min,
         outside_mean_c: outside_sum / outside_n.max(1) as f64,
-        cpu_min_c: server.sensors.min_seen_c(),
-        hdd_min_c: hdd_min,
-        survived: server.is_running(),
-        smart_ok,
+        cpu_min_c: server.sensor_min_seen_c(host),
+        survived: server.is_running(host),
+        smart_ok: server.disks_all_long_tests_pass(host),
     }
 }
 
@@ -121,6 +118,34 @@ mod tests {
                 report.cpu_min_c
             );
             assert!(report.cpu_min_c > report.outside_min_c);
+        }
+    }
+
+    /// Exact T5 outputs for two seeds: any drift in the weekend's physics,
+    /// sensor or disk model — down to one ulp — fails here.
+    #[test]
+    fn prototype_report_is_pinned() {
+        let pins: [(u64, u64, u64, u64); 2] = [
+            (
+                42,
+                0xc027_fe7f_1e8c_2301,
+                0xc020_4746_9e64_884f,
+                0xc015_37d7_6644_b69c,
+            ),
+            (
+                2010,
+                0xc025_7a28_7866_7356,
+                0xc01e_b289_566c_9c7d,
+                0xc018_a2d6_d3bd_7a0d,
+            ),
+        ];
+        for (seed, outside_min, outside_mean, cpu_min) in pins {
+            let report = run_prototype(&ExperimentConfig::paper_scripted(seed));
+            assert_eq!(report.outside_min_c.to_bits(), outside_min, "seed {seed}");
+            assert_eq!(report.outside_mean_c.to_bits(), outside_mean, "seed {seed}");
+            assert_eq!(report.cpu_min_c.to_bits(), cpu_min, "seed {seed}");
+            assert!(report.survived, "seed {seed}");
+            assert!(report.smart_ok, "seed {seed}");
         }
     }
 

@@ -1,18 +1,15 @@
-//! Struct-of-arrays host hardware for fleet-scale campaigns.
+//! Struct-of-arrays host hardware.
 //!
-//! [`HostBank`] flattens the campaign-relevant state of [`Server`](crate::Server) — power
-//! state, the linear power model, PSU, motherboard sensor chip, memory
-//! exposure counters, and per-drive S.M.A.R.T. state — into parallel flat
-//! arrays indexed by a dense host index. Each method is a column kernel
-//! with **exactly** the semantics of the corresponding object-model method
-//! (same guards, same float-operation order), so a campaign stepped
-//! through the bank produces byte-identical results.
+//! [`HostBank`] is frostlab's one model of a live host: power state, the
+//! linear power model, PSU, motherboard sensor chip, memory exposure
+//! counters and drive health, held in parallel flat arrays indexed by a
+//! dense host index. Each method is a column kernel over one row, so the
+//! prototype's single PC and a 10,000-host fleet step through the same code.
 //!
-//! Deliberately *not* carried over: the in-memory disk block stores. A
-//! campaign only ticks S.M.A.R.T., injects pending sectors, and runs long
-//! self-tests — it never reads or writes blocks — and at 10,000 hosts the
-//! block arrays alone would cost gigabytes. The block-level model stays in
-//! [`crate::disk::Disk`] for component tests and the prototype rig.
+//! Drives are modelled only as far as a campaign observes them: a campaign
+//! injects pending sectors and runs long self-tests, and injection always
+//! hits every drive of a host at once, so one flag per host carries the
+//! S.M.A.R.T. verdict for all its drives.
 //!
 //! Column ownership: the bank owns everything whose per-tick update is a
 //! pure function of (own row, scalar inputs). State machines with
@@ -29,8 +26,6 @@ use crate::server::{PowerState, ServerSpec};
 pub struct HostBank {
     // --- server run state ---
     power_state: Vec<PowerState>,
-    uptime_hours: Vec<f64>,
-    reset_count: Vec<u32>,
     // --- linear power model constants ---
     dc_idle_w: Vec<f64>,
     dc_load_w: Vec<f64>,
@@ -48,16 +43,8 @@ pub struct HostBank {
     ecc: Vec<bool>,
     page_ops: Vec<u64>,
     silent_corruptions: Vec<u64>,
-    corrected_errors: Vec<u64>,
-    // --- per-drive S.M.A.R.T. columns, flat in `for_each_disk_mut` order ---
-    disk_range: Vec<(u32, u32)>,
-    disk_power_on_hours: Vec<f64>,
-    disk_temperature_c: Vec<f64>,
-    disk_min_temperature_c: Vec<f64>,
-    disk_max_temperature_c: Vec<f64>,
-    disk_pending_sectors: Vec<u32>,
-    disk_sector0_bad: Vec<bool>,
-    disk_failed: Vec<bool>,
+    // --- drives: a pending sector at block 0 on every drive ---
+    disks_pending: Vec<bool>,
 }
 
 impl HostBank {
@@ -76,14 +63,12 @@ impl HostBank {
         self.power_state.is_empty()
     }
 
-    /// Add one host assembled from `spec`, returning its dense index.
-    /// Mirrors `Server::new`: running, zero uptime, pristine sensors and
-    /// counters, drives at 20 °C with no history.
+    /// Add one host assembled from `spec`, returning its dense index: running,
+    /// with a working PSU, a pristine sensor chip and counters, and clean
+    /// drives.
     pub fn push_host(&mut self, spec: &ServerSpec) -> usize {
         let idx = self.power_state.len();
         self.power_state.push(PowerState::Running);
-        self.uptime_hours.push(0.0);
-        self.reset_count.push(0);
         self.dc_idle_w.push(spec.idle_power_w);
         self.dc_load_w.push(spec.load_power_w);
         self.cpu_idle_w.push(spec.cpu_idle_w);
@@ -97,29 +82,11 @@ impl HostBank {
         self.ecc.push(spec.ecc);
         self.page_ops.push(0);
         self.silent_corruptions.push(0);
-        self.corrected_errors.push(0);
-        // Drive layout per vendor, in `Storage::for_each_disk_mut` order:
-        // mirror members first, then parity stripe members.
-        let drives = match spec.vendor {
-            crate::server::Vendor::A => 2,
-            crate::server::Vendor::B => 1,
-            crate::server::Vendor::C => 5,
-        };
-        let start = self.disk_power_on_hours.len() as u32;
-        self.disk_range.push((start, drives));
-        for _ in 0..drives {
-            self.disk_power_on_hours.push(0.0);
-            self.disk_temperature_c.push(20.0);
-            self.disk_min_temperature_c.push(20.0);
-            self.disk_max_temperature_c.push(20.0);
-            self.disk_pending_sectors.push(0);
-            self.disk_sector0_bad.push(false);
-            self.disk_failed.push(false);
-        }
+        self.disks_pending.push(false);
         idx
     }
 
-    // --- run state (Server) ---
+    // --- run state ---
 
     /// Current power state of host `i`.
     pub fn power_state(&self, i: usize) -> PowerState {
@@ -139,13 +106,11 @@ impl HostBank {
         }
     }
 
-    /// Reset host `i`: resume running, warm-reboot the sensor chip,
-    /// restart the uptime clock (semantics of `Server::reset`).
+    /// Reset host `i`: resume running and warm-reboot the sensor chip
+    /// (which is what recovers it, per §4.2.1).
     pub fn reset(&mut self, i: usize) {
         self.power_state[i] = PowerState::Running;
         self.sensor_warm_reboot(i);
-        self.uptime_hours[i] = 0.0;
-        self.reset_count[i] += 1;
     }
 
     /// Power host `i` down (taken indoors / decommissioned).
@@ -153,36 +118,7 @@ impl HostBank {
         self.power_state[i] = PowerState::Off;
     }
 
-    /// Number of resets host `i` has needed.
-    pub fn reset_count(&self, i: usize) -> u32 {
-        self.reset_count[i]
-    }
-
-    /// Continuous uptime of host `i` since its last reset, hours.
-    pub fn uptime_hours(&self, i: usize) -> f64 {
-        self.uptime_hours[i]
-    }
-
-    /// Advance operating time for host `i` and feed S.M.A.R.T. with the
-    /// drive temperature (semantics of `Server::tick`: off machines are
-    /// frozen, hung machines age their drives but not their uptime).
-    pub fn tick(&mut self, i: usize, dt_hours: f64, hdd_temp_c: f64) {
-        if self.power_state[i] == PowerState::Off {
-            return;
-        }
-        if self.power_state[i] == PowerState::Running {
-            self.uptime_hours[i] += dt_hours;
-        }
-        let (start, len) = self.disk_range[i];
-        for d in start as usize..(start + len) as usize {
-            self.disk_power_on_hours[d] += dt_hours;
-            self.disk_temperature_c[d] = hdd_temp_c;
-            self.disk_min_temperature_c[d] = self.disk_min_temperature_c[d].min(hdd_temp_c);
-            self.disk_max_temperature_c[d] = self.disk_max_temperature_c[d].max(hdd_temp_c);
-        }
-    }
-
-    // --- power model (ServerSpec + Psu) ---
+    // --- power model and PSU ---
 
     /// DC power draw of host `i` at `utilization` (0 = idle, 1 = full).
     pub fn dc_power_w(&self, i: usize, utilization: f64) -> f64 {
@@ -196,9 +132,9 @@ impl HostBank {
         self.cpu_idle_w[i] + u * (self.cpu_load_w[i] - self.cpu_idle_w[i])
     }
 
-    /// Wall power of host `i` at `utilization` (0 when off; hung idles;
-    /// a failed PSU draws nothing) — semantics of `Server::wall_power_w`
-    /// over `Psu::wall_power_w`.
+    /// Wall power of host `i` at `utilization`: 0 when off; a hung machine
+    /// idles; the PSU delivers at most its rating, loses `1 − η` of the
+    /// input, and draws nothing once failed.
     pub fn wall_power_w(&self, i: usize, utilization: f64) -> f64 {
         let dc = match self.power_state[i] {
             PowerState::Off => return 0.0,
@@ -273,10 +209,9 @@ impl HostBank {
     }
 
     /// Apply one bit flip to host `i`: ECC corrects it, otherwise it is a
-    /// silent corruption (semantics of `MemoryBank::apply_bit_flip`).
+    /// silent corruption.
     pub fn memory_apply_bit_flip(&mut self, i: usize) -> FlipOutcome {
         if self.ecc[i] {
-            self.corrected_errors[i] += 1;
             FlipOutcome::CorrectedByEcc
         } else {
             self.silent_corruptions[i] += 1;
@@ -294,51 +229,24 @@ impl HostBank {
         self.silent_corruptions[i]
     }
 
-    /// ECC-corrected errors accumulated by host `i`.
-    pub fn memory_corrected_errors(&self, i: usize) -> u64 {
-        self.corrected_errors[i]
-    }
-
     // --- disks ---
 
-    /// Number of physical drives in host `i`.
-    pub fn drive_count(&self, i: usize) -> usize {
-        self.disk_range[i].1 as usize
-    }
-
     /// Inject a pending sector at block 0 of every drive in host `i`
-    /// (idempotent per drive), matching the campaign's
-    /// `for_each_disk_mut(|d| d.inject_pending_sector(0))`.
+    /// (idempotent).
     pub fn disks_inject_pending_sector0(&mut self, i: usize) {
-        let (start, len) = self.disk_range[i];
-        for d in start as usize..(start + len) as usize {
-            if !self.disk_sector0_bad[d] {
-                self.disk_sector0_bad[d] = true;
-                self.disk_pending_sectors[d] += 1;
-            }
-        }
+        self.disks_pending[i] = true;
     }
 
-    /// All of host `i`'s drives pass their long self-tests? A drive fails
-    /// when its media failed or any block is pending.
+    /// All of host `i`'s drives pass their long self-tests? A drive with a
+    /// pending sector fails.
     pub fn disks_all_long_tests_pass(&self, i: usize) -> bool {
-        let (start, len) = self.disk_range[i];
-        (start as usize..(start + len) as usize)
-            .all(|d| !self.disk_failed[d] && !self.disk_sector0_bad[d])
-    }
-
-    /// Current S.M.A.R.T. temperature of drive `d` (flat index) — test aid.
-    #[doc(hidden)]
-    pub fn disk_temperature_c(&self, i: usize, drive: usize) -> f64 {
-        let (start, _) = self.disk_range[i];
-        self.disk_temperature_c[start as usize + drive]
+        !self.disks_pending[i]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::Server;
 
     fn specs() -> [ServerSpec; 3] {
         [
@@ -348,136 +256,135 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn layout_matches_vendor_storage() {
+    fn one_host(spec: &ServerSpec) -> HostBank {
         let mut bank = HostBank::new();
-        for spec in specs() {
-            bank.push_host(&spec);
-        }
-        assert_eq!(bank.drive_count(0), 2);
-        assert_eq!(bank.drive_count(1), 1);
-        assert_eq!(bank.drive_count(2), 5);
-        assert_eq!(bank.len(), 3);
-    }
-
-    /// Drive both models through the same campaign-shaped op sequence and
-    /// compare every observable at every step.
-    #[test]
-    fn bank_matches_server_objects() {
-        let mut bank = HostBank::new();
-        let mut objs: Vec<Server> = Vec::new();
-        for spec in specs() {
-            bank.push_host(&spec);
-            objs.push(Server::new(spec));
-        }
-        for step in 0..600 {
-            for (i, obj) in objs.iter_mut().enumerate() {
-                let temp = -10.0 + ((step + i) % 47) as f64;
-                let util = if step % 3 == 0 { 1.0 } else { 0.0 };
-                // Scripted op mix exercising every transition.
-                match step % 101 {
-                    13 => {
-                        obj.hang();
-                        bank.hang(i);
-                    }
-                    29 => {
-                        obj.reset();
-                        bank.reset(i);
-                    }
-                    43 => {
-                        obj.sensors.inject_cold_fault();
-                        bank.sensor_inject_cold_fault(i);
-                    }
-                    59 => {
-                        obj.sensors.attempt_redetect();
-                        bank.sensor_attempt_redetect(i);
-                    }
-                    71 => {
-                        obj.storage.for_each_disk_mut(|d| {
-                            d.inject_pending_sector(0);
-                        });
-                        bank.disks_inject_pending_sector0(i);
-                    }
-                    83 if i == 2 => {
-                        obj.psu.fail();
-                        bank.psu_fail(i);
-                    }
-                    _ => {}
-                }
-                obj.tick(1.0 / 60.0, temp);
-                bank.tick(i, 1.0 / 60.0, temp);
-                assert_eq!(obj.memory.apply_bit_flip(), bank.memory_apply_bit_flip(i));
-                obj.memory.record_page_ops(1000);
-                bank.memory_record_page_ops(i, 1000);
-                assert_eq!(
-                    obj.sensors.read_cpu_temp(temp),
-                    bank.sensor_read_cpu_temp(i, temp)
-                );
-                assert_eq!(obj.is_running(), bank.is_running(i), "step {step} host {i}");
-                assert_eq!(
-                    obj.wall_power_w(util).to_bits(),
-                    bank.wall_power_w(i, util).to_bits()
-                );
-                assert_eq!(obj.uptime_hours().to_bits(), bank.uptime_hours(i).to_bits());
-                assert_eq!(obj.reset_count(), bank.reset_count(i));
-            }
-        }
-        for (i, obj) in objs.iter_mut().enumerate() {
-            assert_eq!(
-                obj.storage.all_long_tests_pass(),
-                bank.disks_all_long_tests_pass(i)
-            );
-            assert_eq!(obj.sensors.min_seen_c(), bank.sensor_min_seen_c(i));
-            assert_eq!(obj.sensors.erratic_count(), bank.sensor_erratic_count(i));
-            assert_eq!(obj.memory.page_ops(), bank.memory_page_ops(i));
-            assert_eq!(
-                obj.memory.silent_corruptions(),
-                bank.memory_silent_corruptions(i)
-            );
-            assert_eq!(
-                obj.memory.corrected_errors(),
-                bank.memory_corrected_errors(i)
-            );
-        }
+        bank.push_host(spec);
+        bank
     }
 
     #[test]
-    fn off_hosts_are_frozen() {
-        let mut bank = HostBank::new();
-        bank.push_host(&ServerSpec::vendor_a());
+    fn paper_sensor_fault_chain() {
+        let mut bank = one_host(&ServerSpec::vendor_a());
+        // Normal cold operation: truthful readings down to −4 °C.
+        assert_eq!(bank.sensor_read_cpu_temp(0, -4.0), Some(-4.0));
+        assert_eq!(bank.sensor_min_seen_c(0), -4.0);
+
+        // Deep-cold fault: erroneous −111 °C readings.
+        bank.sensor_inject_cold_fault(0);
+        assert_eq!(bank.sensor_read_cpu_temp(0, -2.0), Some(ERRATIC_READING_C));
+        assert_eq!(bank.sensor_state[0], SensorState::Erratic);
+
+        // Re-detection makes it worse: chip vanishes.
+        bank.sensor_attempt_redetect(0);
+        assert_eq!(bank.sensor_read_cpu_temp(0, 0.0), None);
+        assert_eq!(bank.sensor_state[0], SensorState::Undetected);
+
+        // A warm reboot restores it; no further problems.
+        bank.sensor_warm_reboot(0);
+        assert_eq!(bank.sensor_read_cpu_temp(0, 3.5), Some(3.5));
+        assert_eq!(bank.sensor_state[0], SensorState::Ok);
+    }
+
+    #[test]
+    fn redetect_on_healthy_chip_is_harmless() {
+        let mut bank = one_host(&ServerSpec::vendor_a());
+        bank.sensor_attempt_redetect(0);
+        assert_eq!(bank.sensor_state[0], SensorState::Ok);
+        assert_eq!(bank.sensor_read_cpu_temp(0, 10.0), Some(10.0));
+    }
+
+    #[test]
+    fn cold_fault_on_undetected_chip_is_noop() {
+        let mut bank = one_host(&ServerSpec::vendor_a());
+        bank.sensor_inject_cold_fault(0);
+        bank.sensor_attempt_redetect(0);
+        bank.sensor_inject_cold_fault(0);
+        assert_eq!(bank.sensor_state[0], SensorState::Undetected);
+    }
+
+    #[test]
+    fn erratic_count_accumulates() {
+        let mut bank = one_host(&ServerSpec::vendor_a());
+        bank.sensor_inject_cold_fault(0);
+        for _ in 0..5 {
+            bank.sensor_read_cpu_temp(0, 1.0);
+        }
+        assert_eq!(bank.sensor_erratic_count(0), 5);
+    }
+
+    #[test]
+    fn min_seen_only_tracks_truthful_readings() {
+        let mut bank = one_host(&ServerSpec::vendor_a());
+        bank.sensor_read_cpu_temp(0, 5.0);
+        bank.sensor_inject_cold_fault(0);
+        bank.sensor_read_cpu_temp(0, -50.0); // erratic, must not pollute min
+        assert_eq!(bank.sensor_min_seen_c(0), 5.0);
+    }
+
+    #[test]
+    fn wall_power_includes_psu_losses() {
+        let spec = ServerSpec::vendor_b(false);
+        let bank = one_host(&spec);
+        assert_eq!(
+            bank.wall_power_w(0, 1.0).to_bits(),
+            (spec.load_power_w / spec.psu_efficiency).to_bits()
+        );
+        assert!(bank.wall_power_w(0, 1.0) > spec.load_power_w);
+    }
+
+    #[test]
+    fn psu_output_capped_at_rating() {
+        let bank = one_host(&ServerSpec {
+            psu_rated_w: 60.0,
+            ..ServerSpec::vendor_b(false)
+        });
+        assert!((bank.wall_power_w(0, 1.0) - 80.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn failed_psu_draws_nothing() {
+        let mut bank = one_host(&ServerSpec::vendor_c());
+        bank.psu_fail(0);
+        assert_eq!(bank.wall_power_w(0, 1.0), 0.0);
+        bank.hang(0);
+        assert_eq!(bank.wall_power_w(0, 1.0), 0.0);
+    }
+
+    #[test]
+    fn wall_power_by_state() {
+        let mut bank = one_host(&ServerSpec::vendor_b(false));
+        let running = bank.wall_power_w(0, 1.0);
+        bank.hang(0);
+        let hung = bank.wall_power_w(0, 1.0);
+        assert!(hung < running && hung > 0.0);
+        assert_eq!(hung, bank.wall_power_w(0, 0.0), "a hung host idles");
         bank.power_off(0);
-        bank.tick(0, 5.0, 30.0);
-        assert_eq!(bank.uptime_hours(0), 0.0);
-        assert_eq!(bank.disk_temperature_c(0, 0), 20.0);
         assert_eq!(bank.wall_power_w(0, 1.0), 0.0);
         assert_eq!(bank.power_state(0), PowerState::Off);
     }
 
     #[test]
-    fn hung_hosts_idle_but_age_their_drives() {
-        let mut bank = HostBank::new();
-        bank.push_host(&ServerSpec::vendor_c());
+    fn hang_and_reset_cycle() {
+        let mut bank = one_host(&ServerSpec::vendor_b(true));
         bank.hang(0);
-        bank.tick(0, 2.0, 35.0);
-        assert_eq!(bank.uptime_hours(0), 0.0);
-        assert_eq!(bank.disk_temperature_c(0, 0), 35.0);
-        let mut obj = Server::new(ServerSpec::vendor_c());
-        obj.hang();
-        assert_eq!(
-            bank.wall_power_w(0, 1.0).to_bits(),
-            obj.wall_power_w(1.0).to_bits()
-        );
+        assert!(!bank.is_running(0));
+        assert_eq!(bank.power_state(0), PowerState::Hung);
+        bank.reset(0);
+        assert!(bank.is_running(0));
+        // Only a running machine hangs.
+        bank.power_off(0);
+        bank.hang(0);
+        assert_eq!(bank.power_state(0), PowerState::Off);
     }
 
     #[test]
-    fn pending_sector_injection_is_idempotent_per_drive() {
-        let mut bank = HostBank::new();
-        bank.push_host(&ServerSpec::vendor_b(false));
-        assert!(bank.disks_all_long_tests_pass(0));
-        bank.disks_inject_pending_sector0(0);
-        bank.disks_inject_pending_sector0(0);
-        assert!(!bank.disks_all_long_tests_pass(0));
-        assert_eq!(bank.disk_pending_sectors[0], 1, "second injection a no-op");
+    fn reset_recovers_sensor_chip() {
+        let mut bank = one_host(&ServerSpec::vendor_a());
+        bank.sensor_inject_cold_fault(0);
+        bank.sensor_attempt_redetect(0);
+        assert!(bank.sensor_read_cpu_temp(0, 0.0).is_none());
+        bank.reset(0);
+        assert_eq!(bank.sensor_read_cpu_temp(0, 1.0), Some(1.0));
     }
 
     #[test]
@@ -490,6 +397,44 @@ mod tests {
         assert_eq!(bank.memory_apply_bit_flip(1), FlipOutcome::SilentCorruption);
         assert_eq!(bank.memory_apply_bit_flip(2), FlipOutcome::CorrectedByEcc);
         assert_eq!(bank.memory_silent_corruptions(0), 1);
-        assert_eq!(bank.memory_corrected_errors(2), 1);
+        assert_eq!(bank.memory_silent_corruptions(1), 1);
+        assert_eq!(bank.memory_silent_corruptions(2), 0);
+    }
+
+    #[test]
+    fn page_ops_saturate() {
+        let mut bank = one_host(&ServerSpec::vendor_a());
+        bank.memory_record_page_ops(0, 1000);
+        assert_eq!(bank.memory_page_ops(0), 1000);
+        bank.memory_record_page_ops(0, u64::MAX);
+        bank.memory_record_page_ops(0, 10);
+        assert_eq!(bank.memory_page_ops(0), u64::MAX);
+    }
+
+    #[test]
+    fn power_model_interpolates() {
+        let bank = one_host(&ServerSpec::vendor_a());
+        assert_eq!(bank.dc_power_w(0, 0.0), 70.0);
+        assert_eq!(bank.dc_power_w(0, 1.0), 125.0);
+        assert!((bank.dc_power_w(0, 0.5) - 97.5).abs() < 1e-9);
+        assert!(bank.cpu_power_w(0, 1.0) > bank.cpu_power_w(0, 0.0));
+        // Clamping.
+        assert_eq!(bank.dc_power_w(0, 2.0), 125.0);
+        assert_eq!(bank.dc_power_w(0, -1.0), 70.0);
+        assert_eq!(bank.cpu_power_w(0, 2.0), bank.cpu_power_w(0, 1.0));
+    }
+
+    #[test]
+    fn pending_sector_fails_long_tests_on_every_vendor() {
+        let mut bank = HostBank::new();
+        for spec in specs() {
+            bank.push_host(&spec);
+        }
+        for i in 0..bank.len() {
+            assert!(bank.disks_all_long_tests_pass(i), "fresh drives pass");
+            bank.disks_inject_pending_sector0(i);
+            bank.disks_inject_pending_sector0(i);
+            assert!(!bank.disks_all_long_tests_pass(i));
+        }
     }
 }

@@ -2,36 +2,6 @@
 
 use std::fmt;
 
-/// Health of a hardware component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ComponentHealth {
-    /// Operating normally.
-    Healthy,
-    /// Operating but showing anomalies (e.g. erratic sensor readings,
-    /// audible whine, reallocated sectors accumulating).
-    Degraded,
-    /// Not functioning.
-    Failed,
-}
-
-impl ComponentHealth {
-    /// True unless the component has failed outright.
-    pub fn is_operational(self) -> bool {
-        self != ComponentHealth::Failed
-    }
-}
-
-impl fmt::Display for ComponentHealth {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ComponentHealth::Healthy => "healthy",
-            ComponentHealth::Degraded => "degraded",
-            ComponentHealth::Failed => "failed",
-        };
-        write!(f, "{s}")
-    }
-}
-
 /// The component classes the study tracks — used by the fault layer to test
 /// the "which components fail first" research question (§3, third question).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -72,15 +42,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn operational_logic() {
-        assert!(ComponentHealth::Healthy.is_operational());
-        assert!(ComponentHealth::Degraded.is_operational());
-        assert!(!ComponentHealth::Failed.is_operational());
-    }
-
-    #[test]
     fn display_strings() {
-        assert_eq!(ComponentHealth::Degraded.to_string(), "degraded");
         assert_eq!(ComponentKind::Motherboard.to_string(), "motherboard");
     }
 }

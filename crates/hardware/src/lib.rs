@@ -1,6 +1,6 @@
 //! # frostlab-hardware
 //!
-//! Component-level models of the 19 machines (and 3 switches) the study ran.
+//! Component-level models of the 19 machines the study ran.
 //!
 //! The paper's §3.4 describes three form factors:
 //!
@@ -15,35 +15,28 @@
 //! chip that reads −111 °C after deep cold and vanishes on re-detection
 //! (§4.2.1), non-ECC DIMMs that flip a bit every ~570 million page
 //! operations (§4.2.2), disks that keep passing their S.M.A.R.T. long tests,
-//! switches with a cosmetic whine that die identically whether or not they
-//! ever saw the tent. Each of those behaviours is a state machine here:
+//! power supplies that die. One model carries all of it:
 //!
-//! * [`sensors`] — the motherboard sensor chip and its cold-fault saga;
-//! * [`memory`] — DIMMs with/without ECC and bit-flip accounting;
-//! * [`disk`] + [`raid`] — block devices with S.M.A.R.T. state, and real
-//!   block-level RAID1/RAID5 with reconstruction;
+//! * [`server`] — vendor specs, the vendors and the run state;
+//! * [`columns`] — every host's live hardware as flat struct-of-arrays
+//!   columns ([`columns::HostBank`]): power state, the linear power model,
+//!   PSU, sensor chip, memory exposure and drive health, from the
+//!   prototype's one PC to a 10,000-host fleet;
+//! * [`sensors`] — the sensor chip's states and its −111 °C reading;
+//! * [`memory`] — bit-flip outcomes and the paper's flip rate;
 //! * [`memtest`] — a Memtest86+-style tester with injectable DRAM defects
 //!   (the indoor diagnosis that condemned host #15);
-//! * [`psu`] — the power supply, a supporting component with a health state;
-//! * [`switch`] — the whiny 8-port switches;
-//! * [`server`] — vendor specs and the assembled machine;
-//! * [`columns`] — the same campaign-relevant state as flat
-//!   struct-of-arrays columns ([`columns::HostBank`]) for fleet-scale
-//!   bulk stepping, behavior-identical to the object model.
+//! * [`component`] — the component classes the fault layer attributes
+//!   failures to.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod columns;
 pub mod component;
-pub mod disk;
 pub mod memory;
 pub mod memtest;
-pub mod psu;
-pub mod raid;
 pub mod sensors;
 pub mod server;
-pub mod switch;
 
-pub use component::ComponentHealth;
-pub use server::{Server, ServerSpec, Vendor};
+pub use server::{ServerSpec, Vendor};

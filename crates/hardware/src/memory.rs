@@ -4,10 +4,10 @@
 //! three affected hosts had DIMMs "without error-correcting parities", and
 //! the estimated exposure was ≈ 3.2 billion page operations across the
 //! campaign, giving a failure ratio around **one in 570 million page
-//! operations**. [`MemoryBank`] tracks exactly that exposure and applies bit
-//! flips: on a non-ECC bank a flip becomes a *silent corruption* the
-//! workload will later observe as a wrong hash; on an ECC bank it is
-//! corrected and only counted.
+//! operations**. [`HostBank`](crate::columns::HostBank) tracks exactly that
+//! exposure per host and applies bit flips: on a non-ECC host a flip becomes
+//! a *silent corruption* the workload will later observe as a wrong hash; on
+//! an ECC host it is corrected.
 
 /// The paper's estimated fault rate: one flip per ~570 million page ops.
 pub const PAPER_FLIPS_PER_PAGE_OP: f64 = 1.0 / 570.0e6;
@@ -19,116 +19,4 @@ pub enum FlipOutcome {
     SilentCorruption,
     /// ECC corrected the single-bit error.
     CorrectedByEcc,
-}
-
-/// A host's memory subsystem.
-#[derive(Debug, Clone)]
-pub struct MemoryBank {
-    /// Total capacity, MiB (affects nothing but reporting; kept for specs).
-    pub capacity_mib: u32,
-    /// Whether the DIMMs have ECC.
-    pub ecc: bool,
-    page_ops: u64,
-    silent_corruptions: u64,
-    corrected_errors: u64,
-}
-
-impl MemoryBank {
-    /// New bank of the given capacity.
-    pub fn new(capacity_mib: u32, ecc: bool) -> Self {
-        MemoryBank {
-            capacity_mib,
-            ecc,
-            page_ops: 0,
-            silent_corruptions: 0,
-            corrected_errors: 0,
-        }
-    }
-
-    /// Record `n` page read/write operations (exposure accounting).
-    pub fn record_page_ops(&mut self, n: u64) {
-        self.page_ops = self.page_ops.saturating_add(n);
-    }
-
-    /// Total page operations recorded.
-    pub fn page_ops(&self) -> u64 {
-        self.page_ops
-    }
-
-    /// Apply a bit-flip event (scheduled by the fault layer).
-    pub fn apply_bit_flip(&mut self) -> FlipOutcome {
-        if self.ecc {
-            self.corrected_errors += 1;
-            FlipOutcome::CorrectedByEcc
-        } else {
-            self.silent_corruptions += 1;
-            FlipOutcome::SilentCorruption
-        }
-    }
-
-    /// Number of silent corruptions suffered so far.
-    pub fn silent_corruptions(&self) -> u64 {
-        self.silent_corruptions
-    }
-
-    /// Number of ECC-corrected errors so far.
-    pub fn corrected_errors(&self) -> u64 {
-        self.corrected_errors
-    }
-
-    /// Empirical fault ratio (silent corruptions per page op), if any
-    /// exposure has been recorded.
-    pub fn empirical_fault_ratio(&self) -> Option<f64> {
-        if self.page_ops == 0 {
-            None
-        } else {
-            Some(self.silent_corruptions as f64 / self.page_ops as f64)
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn non_ecc_flip_corrupts() {
-        let mut bank = MemoryBank::new(2048, false);
-        assert_eq!(bank.apply_bit_flip(), FlipOutcome::SilentCorruption);
-        assert_eq!(bank.silent_corruptions(), 1);
-        assert_eq!(bank.corrected_errors(), 0);
-    }
-
-    #[test]
-    fn ecc_flip_corrected() {
-        let mut bank = MemoryBank::new(4096, true);
-        assert_eq!(bank.apply_bit_flip(), FlipOutcome::CorrectedByEcc);
-        assert_eq!(bank.silent_corruptions(), 0);
-        assert_eq!(bank.corrected_errors(), 1);
-    }
-
-    #[test]
-    fn exposure_accounting() {
-        let mut bank = MemoryBank::new(1024, false);
-        assert_eq!(bank.empirical_fault_ratio(), None);
-        bank.record_page_ops(570_000_000);
-        bank.apply_bit_flip();
-        // One flip over the paper's per-flip page-op count reproduces its
-        // empirical ratio (and proves the ratio is defined at all).
-        assert!(
-            bank.empirical_fault_ratio()
-                .is_some_and(|ratio| (ratio - PAPER_FLIPS_PER_PAGE_OP).abs()
-                    / PAPER_FLIPS_PER_PAGE_OP
-                    < 1e-9),
-            "empirical ratio should match the paper's flips-per-page-op"
-        );
-    }
-
-    #[test]
-    fn saturating_ops() {
-        let mut bank = MemoryBank::new(1024, false);
-        bank.record_page_ops(u64::MAX);
-        bank.record_page_ops(10);
-        assert_eq!(bank.page_ops(), u64::MAX);
-    }
 }

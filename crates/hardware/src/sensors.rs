@@ -10,11 +10,10 @@
 //! 3. after a week, a **warm reboot** brought it back, and it behaved
 //!    normally ever after.
 //!
-//! [`SensorChip`] is that state machine. The fault layer triggers the
-//! erratic transition (deep-cold exposure); the repair layer drives
+//! [`SensorState`] names that state machine's states; each host's chip is a
+//! row of [`HostBank`](crate::columns::HostBank). The fault layer triggers
+//! the erratic transition (deep-cold exposure); the repair layer drives
 //! re-detection attempts and reboots.
-
-use crate::component::ComponentHealth;
 
 /// The erroneous reading the paper quotes.
 pub const ERRATIC_READING_C: f64 = -111.0;
@@ -28,159 +27,4 @@ pub enum SensorState {
     Erratic,
     /// Not detected on the bus at all (no readings).
     Undetected,
-}
-
-/// A motherboard hardware-monitoring chip.
-#[derive(Debug, Clone)]
-pub struct SensorChip {
-    state: SensorState,
-    /// Minimum CPU temperature ever passed through this chip (diagnostics).
-    min_seen_c: f64,
-    /// Number of erratic readings produced.
-    erratic_count: u64,
-}
-
-impl SensorChip {
-    /// A fresh, working chip.
-    pub fn new() -> Self {
-        SensorChip {
-            state: SensorState::Ok,
-            min_seen_c: f64::INFINITY,
-            erratic_count: 0,
-        }
-    }
-
-    /// Current state.
-    pub fn state(&self) -> SensorState {
-        self.state
-    }
-
-    /// Health mapping for fleet reports.
-    pub fn health(&self) -> ComponentHealth {
-        match self.state {
-            SensorState::Ok => ComponentHealth::Healthy,
-            SensorState::Erratic => ComponentHealth::Degraded,
-            SensorState::Undetected => ComponentHealth::Failed,
-        }
-    }
-
-    /// Read the CPU temperature through the chip. `actual_c` is the physical
-    /// die temperature from the thermal model. Returns `None` when the chip
-    /// is not detected.
-    pub fn read_cpu_temp(&mut self, actual_c: f64) -> Option<f64> {
-        match self.state {
-            SensorState::Ok => {
-                self.min_seen_c = self.min_seen_c.min(actual_c);
-                Some(actual_c)
-            }
-            SensorState::Erratic => {
-                self.erratic_count += 1;
-                Some(ERRATIC_READING_C)
-            }
-            SensorState::Undetected => None,
-        }
-    }
-
-    /// Inject the deep-cold fault: the chip starts reporting garbage.
-    /// No-op if the chip is currently undetected.
-    pub fn inject_cold_fault(&mut self) {
-        if self.state == SensorState::Ok {
-            self.state = SensorState::Erratic;
-        }
-    }
-
-    /// Attempt to re-detect the chip (the authors' first repair idea).
-    /// Mirrors the paper: instead of resetting it, the chip disappears.
-    pub fn attempt_redetect(&mut self) {
-        if self.state == SensorState::Erratic {
-            self.state = SensorState::Undetected;
-        }
-    }
-
-    /// A warm system reboot — this is what actually fixed the chip.
-    pub fn warm_reboot(&mut self) {
-        self.state = SensorState::Ok;
-    }
-
-    /// Lowest CPU temperature this chip has truthfully reported, °C.
-    pub fn min_seen_c(&self) -> f64 {
-        self.min_seen_c
-    }
-
-    /// How many −111 °C readings were produced.
-    pub fn erratic_count(&self) -> u64 {
-        self.erratic_count
-    }
-}
-
-impl Default for SensorChip {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn paper_fault_chain() {
-        let mut chip = SensorChip::new();
-        // Normal cold operation: truthful readings down to −4 °C.
-        assert_eq!(chip.read_cpu_temp(-4.0), Some(-4.0));
-        assert_eq!(chip.min_seen_c(), -4.0);
-
-        // Deep-cold fault: erroneous −111 °C readings.
-        chip.inject_cold_fault();
-        assert_eq!(chip.read_cpu_temp(-2.0), Some(ERRATIC_READING_C));
-        assert_eq!(chip.state(), SensorState::Erratic);
-        assert_eq!(chip.health(), ComponentHealth::Degraded);
-
-        // Re-detection makes it worse: chip vanishes.
-        chip.attempt_redetect();
-        assert_eq!(chip.read_cpu_temp(0.0), None);
-        assert_eq!(chip.state(), SensorState::Undetected);
-        assert_eq!(chip.health(), ComponentHealth::Failed);
-
-        // A warm reboot restores it; no further problems.
-        chip.warm_reboot();
-        assert_eq!(chip.read_cpu_temp(3.5), Some(3.5));
-        assert_eq!(chip.health(), ComponentHealth::Healthy);
-    }
-
-    #[test]
-    fn redetect_on_healthy_chip_is_harmless() {
-        let mut chip = SensorChip::new();
-        chip.attempt_redetect();
-        assert_eq!(chip.state(), SensorState::Ok);
-        assert_eq!(chip.read_cpu_temp(10.0), Some(10.0));
-    }
-
-    #[test]
-    fn erratic_count_accumulates() {
-        let mut chip = SensorChip::new();
-        chip.inject_cold_fault();
-        for _ in 0..5 {
-            chip.read_cpu_temp(1.0);
-        }
-        assert_eq!(chip.erratic_count(), 5);
-    }
-
-    #[test]
-    fn min_seen_only_tracks_truthful_readings() {
-        let mut chip = SensorChip::new();
-        chip.read_cpu_temp(5.0);
-        chip.inject_cold_fault();
-        chip.read_cpu_temp(-50.0); // erratic, must not pollute min
-        assert_eq!(chip.min_seen_c(), 5.0);
-    }
-
-    #[test]
-    fn cold_fault_on_undetected_chip_is_noop() {
-        let mut chip = SensorChip::new();
-        chip.inject_cold_fault();
-        chip.attempt_redetect();
-        chip.inject_cold_fault();
-        assert_eq!(chip.state(), SensorState::Undetected);
-    }
 }

@@ -3,15 +3,9 @@
 //! §3.4: ten hosts from vendor A, four from B (the known-unreliable series)
 //! and four from C were split pairwise between tent and basement (nine
 //! each); a nineteenth machine later replaced host #15. [`ServerSpec`]
-//! captures per-vendor hardware (power envelope, memory, storage layout)
-//! and [`Server`] assembles the live components.
-
-use crate::component::ComponentHealth;
-use crate::disk::Disk;
-use crate::memory::MemoryBank;
-use crate::psu::Psu;
-use crate::raid::{Raid1, Raid5};
-use crate::sensors::SensorChip;
+//! captures per-vendor hardware (power envelope, memory, PSU);
+//! [`HostBank::push_host`](crate::columns::HostBank::push_host) turns a
+//! spec into a live host.
 
 /// The three vendors of §3.4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -31,62 +25,6 @@ impl std::fmt::Display for Vendor {
             Vendor::B => write!(f, "B"),
             Vendor::C => write!(f, "C"),
         }
-    }
-}
-
-/// Storage layout per vendor.
-#[derive(Debug, Clone)]
-pub enum Storage {
-    /// Vendor B: a single drive.
-    Single(Disk),
-    /// Vendor A: two drives in a Linux `md` software mirror.
-    SoftwareMirror(Raid1),
-    /// Vendor C: hardware mirror + 3-drive parity stripe set.
-    MirrorPlusParity {
-        /// The two-drive hardware mirror (system volume).
-        mirror: Raid1,
-        /// The three-drive RAID5 (data volume).
-        parity: Raid5,
-    },
-}
-
-impl Storage {
-    /// Number of physical drives.
-    pub fn drive_count(&self) -> usize {
-        match self {
-            Storage::Single(_) => 1,
-            Storage::SoftwareMirror(_) => 2,
-            Storage::MirrorPlusParity { .. } => 5,
-        }
-    }
-
-    /// Iterate over the drives mutably (S.M.A.R.T. ticks, fault injection).
-    pub fn for_each_disk_mut(&mut self, mut f: impl FnMut(&mut Disk)) {
-        match self {
-            Storage::Single(d) => f(d),
-            Storage::SoftwareMirror(r) => {
-                f(r.member_mut(0));
-                f(r.member_mut(1));
-            }
-            Storage::MirrorPlusParity { mirror, parity } => {
-                f(mirror.member_mut(0));
-                f(mirror.member_mut(1));
-                for i in 0..parity.width() {
-                    f(parity.member_mut(i));
-                }
-            }
-        }
-    }
-
-    /// All drives pass their long self-tests?
-    pub fn all_long_tests_pass(&mut self) -> bool {
-        let mut ok = true;
-        self.for_each_disk_mut(|d| {
-            if d.long_self_test() != crate::disk::SelfTestResult::Passed {
-                ok = false;
-            }
-        });
-        ok
     }
 }
 
@@ -116,8 +54,6 @@ pub struct ServerSpec {
     /// Whether this unit belongs to the known-defective series (§3: the
     /// unreliable vendor-B workstations with bad airflow).
     pub defective_series: bool,
-    /// Disk size used for the in-memory block stores, in 4-KiB blocks.
-    pub disk_blocks: usize,
 }
 
 impl ServerSpec {
@@ -135,7 +71,6 @@ impl ServerSpec {
             psu_rated_w: 300.0,
             psu_efficiency: 0.78,
             defective_series: false,
-            disk_blocks: 64,
         }
     }
 
@@ -154,7 +89,6 @@ impl ServerSpec {
             psu_rated_w: 220.0,
             psu_efficiency: 0.75,
             defective_series,
-            disk_blocks: 64,
         }
     }
 
@@ -172,20 +106,7 @@ impl ServerSpec {
             psu_rated_w: 650.0,
             psu_efficiency: 0.82,
             defective_series: false,
-            disk_blocks: 64,
         }
-    }
-
-    /// DC power draw at a given utilization (0 = idle, 1 = full load).
-    pub fn dc_power_w(&self, utilization: f64) -> f64 {
-        let u = utilization.clamp(0.0, 1.0);
-        self.idle_power_w + u * (self.load_power_w - self.idle_power_w)
-    }
-
-    /// CPU package power at a given utilization.
-    pub fn cpu_power_w(&self, utilization: f64) -> f64 {
-        let u = utilization.clamp(0.0, 1.0);
-        self.cpu_idle_w + u * (self.cpu_load_w - self.cpu_idle_w)
     }
 }
 
@@ -199,221 +120,4 @@ pub enum PowerState {
     Hung,
     /// Powered off / removed.
     Off,
-}
-
-/// An assembled machine.
-#[derive(Debug, Clone)]
-pub struct Server {
-    /// Static spec.
-    pub spec: ServerSpec,
-    /// Motherboard sensor chip.
-    pub sensors: SensorChip,
-    /// Memory subsystem.
-    pub memory: MemoryBank,
-    /// Storage subsystem.
-    pub storage: Storage,
-    /// Power supply.
-    pub psu: Psu,
-    state: PowerState,
-    uptime_hours: f64,
-    reset_count: u32,
-}
-
-impl Server {
-    /// Assemble a machine from its spec.
-    pub fn new(spec: ServerSpec) -> Self {
-        let storage = match spec.vendor {
-            Vendor::A => Storage::SoftwareMirror(Raid1::new(
-                Disk::new(spec.disk_blocks),
-                Disk::new(spec.disk_blocks),
-            )),
-            Vendor::B => Storage::Single(Disk::new(spec.disk_blocks)),
-            Vendor::C => Storage::MirrorPlusParity {
-                mirror: Raid1::new(Disk::new(spec.disk_blocks), Disk::new(spec.disk_blocks)),
-                parity: Raid5::new(vec![
-                    Disk::new(spec.disk_blocks),
-                    Disk::new(spec.disk_blocks),
-                    Disk::new(spec.disk_blocks),
-                ]),
-            },
-        };
-        Server {
-            sensors: SensorChip::new(),
-            memory: MemoryBank::new(spec.memory_mib, spec.ecc),
-            psu: Psu::new(spec.psu_rated_w, spec.psu_efficiency),
-            storage,
-            spec,
-            state: PowerState::Running,
-            uptime_hours: 0.0,
-            reset_count: 0,
-        }
-    }
-
-    /// Current power state.
-    pub fn state(&self) -> PowerState {
-        self.state
-    }
-
-    /// True if the machine is executing its workload.
-    pub fn is_running(&self) -> bool {
-        self.state == PowerState::Running
-    }
-
-    /// Hang the machine (transient system failure).
-    pub fn hang(&mut self) {
-        if self.state == PowerState::Running {
-            self.state = PowerState::Hung;
-        }
-    }
-
-    /// Reset / reboot: resumes operation (warm reboot also recovers the
-    /// sensor chip, per §4.2.1) and restarts the uptime clock.
-    pub fn reset(&mut self) {
-        self.state = PowerState::Running;
-        self.sensors.warm_reboot();
-        self.uptime_hours = 0.0;
-        self.reset_count += 1;
-    }
-
-    /// Power the machine down (taken indoors / decommissioned).
-    pub fn power_off(&mut self) {
-        self.state = PowerState::Off;
-    }
-
-    /// Advance operating time; feeds S.M.A.R.T. with the drive temperature.
-    pub fn tick(&mut self, dt_hours: f64, hdd_temp_c: f64) {
-        if self.state == PowerState::Off {
-            return;
-        }
-        if self.state == PowerState::Running {
-            self.uptime_hours += dt_hours;
-        }
-        self.storage
-            .for_each_disk_mut(|d| d.tick(dt_hours, hdd_temp_c));
-    }
-
-    /// Wall power currently drawn at utilization `u` (0 when off; a hung
-    /// machine idles).
-    pub fn wall_power_w(&self, utilization: f64) -> f64 {
-        match self.state {
-            PowerState::Off => 0.0,
-            PowerState::Hung => self.psu.wall_power_w(self.spec.idle_power_w),
-            PowerState::Running => self.psu.wall_power_w(self.spec.dc_power_w(utilization)),
-        }
-    }
-
-    /// Continuous uptime since the last reset, hours.
-    pub fn uptime_hours(&self) -> f64 {
-        self.uptime_hours
-    }
-
-    /// Number of resets this machine has needed.
-    pub fn reset_count(&self) -> u32 {
-        self.reset_count
-    }
-
-    /// Summary health: failed if hung/off or a vital component failed.
-    pub fn health(&self) -> ComponentHealth {
-        if self.state != PowerState::Running || !self.psu.health().is_operational() {
-            return ComponentHealth::Failed;
-        }
-        if self.sensors.health() == ComponentHealth::Healthy {
-            ComponentHealth::Healthy
-        } else {
-            ComponentHealth::Degraded
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn vendor_storage_layouts() {
-        assert_eq!(Server::new(ServerSpec::vendor_a()).storage.drive_count(), 2);
-        assert_eq!(
-            Server::new(ServerSpec::vendor_b(true))
-                .storage
-                .drive_count(),
-            1
-        );
-        assert_eq!(Server::new(ServerSpec::vendor_c()).storage.drive_count(), 5);
-    }
-
-    #[test]
-    fn power_model_interpolates() {
-        let spec = ServerSpec::vendor_a();
-        assert_eq!(spec.dc_power_w(0.0), 70.0);
-        assert_eq!(spec.dc_power_w(1.0), 125.0);
-        assert!((spec.dc_power_w(0.5) - 97.5).abs() < 1e-9);
-        assert!(spec.cpu_power_w(1.0) > spec.cpu_power_w(0.0));
-        // Clamping.
-        assert_eq!(spec.dc_power_w(2.0), 125.0);
-        assert_eq!(spec.dc_power_w(-1.0), 70.0);
-    }
-
-    #[test]
-    fn wall_power_by_state() {
-        let mut s = Server::new(ServerSpec::vendor_b(false));
-        let running = s.wall_power_w(1.0);
-        assert!(running > 85.0); // includes PSU losses
-        s.hang();
-        let hung = s.wall_power_w(1.0);
-        assert!(hung < running && hung > 0.0);
-        s.power_off();
-        assert_eq!(s.wall_power_w(1.0), 0.0);
-    }
-
-    #[test]
-    fn hang_and_reset_cycle() {
-        let mut s = Server::new(ServerSpec::vendor_b(true));
-        s.tick(100.0, 25.0);
-        assert!((s.uptime_hours() - 100.0).abs() < 1e-9);
-        s.hang();
-        assert!(!s.is_running());
-        assert_eq!(s.health(), ComponentHealth::Failed);
-        s.tick(10.0, 25.0); // hung time does not count as uptime
-        assert!((s.uptime_hours() - 100.0).abs() < 1e-9);
-        s.reset();
-        assert!(s.is_running());
-        assert_eq!(s.reset_count(), 1);
-        assert_eq!(s.uptime_hours(), 0.0);
-    }
-
-    #[test]
-    fn reset_recovers_sensor_chip() {
-        let mut s = Server::new(ServerSpec::vendor_a());
-        s.sensors.inject_cold_fault();
-        s.sensors.attempt_redetect();
-        assert!(s.sensors.read_cpu_temp(0.0).is_none());
-        s.reset();
-        assert_eq!(s.sensors.read_cpu_temp(1.0), Some(1.0));
-    }
-
-    #[test]
-    fn smart_ticks_reach_all_drives() {
-        let mut s = Server::new(ServerSpec::vendor_c());
-        s.tick(5.0, -3.0);
-        let mut count = 0;
-        s.storage.for_each_disk_mut(|d| {
-            assert_eq!(d.smart().temperature_c, -3.0);
-            assert!((d.smart().power_on_hours - 5.0).abs() < 1e-9);
-            count += 1;
-        });
-        assert_eq!(count, 5);
-    }
-
-    #[test]
-    fn ecc_by_vendor() {
-        assert!(!Server::new(ServerSpec::vendor_a()).memory.ecc);
-        assert!(!Server::new(ServerSpec::vendor_b(false)).memory.ecc);
-        assert!(Server::new(ServerSpec::vendor_c()).memory.ecc);
-    }
-
-    #[test]
-    fn long_tests_pass_on_fresh_hardware() {
-        let mut s = Server::new(ServerSpec::vendor_c());
-        assert!(s.storage.all_long_tests_pass());
-    }
 }

@@ -1,13 +1,24 @@
-//! Struct-of-arrays server-case thermal kernel for fleet-scale stepping.
+//! In-chassis thermal chain for fleet-scale stepping: enclosure air → case
+//! air → CPU / disks.
 //!
-//! [`CaseBank`] holds the chassis thermal state of *every* host in a fleet
-//! as parallel flat arrays and steps one host with a closed-form kernel
-//! that reproduces [`ServerCaseThermal`](crate::server_case::ServerCaseThermal)
-//! **bit for bit**. The per-host object model builds a two-node RC network
-//! (case air + CPU, coupled to the enclosure boundary) and integrates it
-//! with exponential-Euler substeps; for that fixed topology the generic
+//! This is the model that turns "−10 °C in the tent" into the paper's
+//! reported "CPU had been operating in temperatures as low as −4 °C": the
+//! case air runs a few kelvin above intake (set by the chassis airflow), the
+//! CPU runs `R_th·P_cpu` above case air, and disks ride a fixed offset above
+//! case air. Vendor B's small-form-factor workstations were "considered
+//! unreliable … due to bad air flow circulation" (§3); their parameter set
+//! models that with a weak case airflow, which pushes component
+//! temperatures up — and lets the experiment ask the paper's fourth
+//! research question (does the cold alleviate the known problem?).
+//!
+//! [`CaseBank`] holds the chassis state of *every* host in a fleet as
+//! parallel flat arrays and steps one host with a closed-form kernel. Each
+//! chassis is a two-node RC network (case air + CPU, coupled to the
+//! enclosure boundary) integrated with exponential-Euler substeps; for that
+//! fixed topology the generic [`RcNetwork`](crate::network::RcNetwork)
 //! solver's arithmetic collapses to a handful of fused update lines whose
-//! floating-point operation order is copied here exactly:
+//! floating-point operation order is copied here exactly, so the kernel
+//! reproduces the solver **bit for bit** (the tests below check it):
 //!
 //! * conductance sums accumulate in edge order — boundary coupling first,
 //!   then the case↔CPU link — so `gsum_case = airflow + g` and
@@ -24,7 +35,56 @@
 //! sized once at fleet construction, which is what lets a 10,000-host
 //! campaign tick in O(hosts) with zero allocations in the hot loop.
 
-use crate::server_case::ServerThermalParams;
+/// Thermal parameters for one chassis design.
+#[derive(Debug, Clone)]
+pub struct ServerThermalParams {
+    /// Conductance from case air to intake air (chassis airflow), W/K.
+    pub case_airflow_w_k: f64,
+    /// Thermal capacity of the case air + structure, J/K.
+    pub case_capacity_j_k: f64,
+    /// CPU heatsink thermal resistance, K/W.
+    pub cpu_rth_k_w: f64,
+    /// CPU + heatsink capacity, J/K.
+    pub cpu_capacity_j_k: f64,
+    /// Disk temperature offset above case air, K.
+    pub hdd_offset_k: f64,
+}
+
+impl ServerThermalParams {
+    /// Vendor A: medium-tower clone desktops, decent airflow.
+    pub fn vendor_a_tower() -> Self {
+        ServerThermalParams {
+            case_airflow_w_k: 15.0,
+            case_capacity_j_k: 4_000.0,
+            cpu_rth_k_w: 0.35,
+            cpu_capacity_j_k: 450.0,
+            hdd_offset_k: 4.0,
+        }
+    }
+
+    /// Vendor B: small-form-factor workstations with the known airflow
+    /// problem — weak case airflow, hot components.
+    pub fn vendor_b_sff() -> Self {
+        ServerThermalParams {
+            case_airflow_w_k: 6.0,
+            case_capacity_j_k: 2_000.0,
+            cpu_rth_k_w: 0.50,
+            cpu_capacity_j_k: 350.0,
+            hdd_offset_k: 7.0,
+        }
+    }
+
+    /// Vendor C: 2U rack servers with strong forced airflow.
+    pub fn vendor_c_2u() -> Self {
+        ServerThermalParams {
+            case_airflow_w_k: 30.0,
+            case_capacity_j_k: 8_000.0,
+            cpu_rth_k_w: 0.25,
+            cpu_capacity_j_k: 600.0,
+            hdd_offset_k: 5.0,
+        }
+    }
+}
 
 /// Flat-array thermal state for a fleet of server cases.
 ///
@@ -115,9 +175,9 @@ impl CaseBank {
         self.cached_dt = dt_secs;
     }
 
-    /// Advance host `i` by `dt_secs` with the given enclosure intake
-    /// temperature and power split — semantics (and bits) of
-    /// `ServerCaseThermal::step`.
+    /// Advance host `i` by `dt_secs` with the given intake-air temperature,
+    /// CPU power and total chassis power (CPU power is part of the total;
+    /// the non-CPU remainder, clamped at zero, heats the case air directly).
     pub fn step_one(
         &mut self,
         i: usize,
@@ -171,7 +231,56 @@ impl CaseBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server_case::ServerCaseThermal;
+    use crate::network::{BoundaryId, NodeId, RcNetwork};
+
+    /// The reference chassis: the generic solver's two-node network, built
+    /// in the order the kernel's edge sums assume — case node, CPU node,
+    /// intake boundary, then the boundary edge and then the CPU edge.
+    struct RcCase {
+        net: RcNetwork,
+        case: NodeId,
+        cpu: NodeId,
+        intake: BoundaryId,
+        hdd_offset_k: f64,
+    }
+
+    impl RcCase {
+        fn new(params: &ServerThermalParams, intake_c: f64) -> Self {
+            let mut net = RcNetwork::new();
+            let case = net.add_node(params.case_capacity_j_k, intake_c);
+            let cpu = net.add_node(params.cpu_capacity_j_k, intake_c);
+            let intake = net.add_boundary(intake_c);
+            net.connect_boundary(case, intake, params.case_airflow_w_k);
+            net.connect(case, cpu, 1.0 / params.cpu_rth_k_w);
+            RcCase {
+                net,
+                case,
+                cpu,
+                intake,
+                hdd_offset_k: params.hdd_offset_k,
+            }
+        }
+
+        fn step(&mut self, dt_secs: f64, intake_c: f64, cpu_power_w: f64, total_power_w: f64) {
+            let other_w = (total_power_w - cpu_power_w).max(0.0);
+            self.net.set_boundary_temp(self.intake, intake_c);
+            self.net.set_power(self.case, other_w);
+            self.net.set_power(self.cpu, cpu_power_w);
+            self.net.step(dt_secs);
+        }
+
+        fn case_temp_c(&self) -> f64 {
+            self.net.temp(self.case)
+        }
+
+        fn cpu_temp_c(&self) -> f64 {
+            self.net.temp(self.cpu)
+        }
+
+        fn hdd_temp_c(&self) -> f64 {
+            self.case_temp_c() + self.hdd_offset_k
+        }
+    }
 
     fn vendors() -> [ServerThermalParams; 3] {
         [
@@ -186,72 +295,81 @@ mod tests {
         offset + scale * ((step as f64 * 0.7).sin() + 0.3 * (step as f64 * 0.13).cos())
     }
 
-    #[test]
-    fn bank_matches_object_model_bit_for_bit() {
+    /// A one-host bank starting in equilibrium with `intake_c`.
+    fn one_case(params: ServerThermalParams, intake_c: f64) -> CaseBank {
         let mut bank = CaseBank::new();
-        let mut objs = Vec::new();
+        bank.push(&params, intake_c);
+        bank
+    }
+
+    fn settle(bank: &mut CaseBank, intake: f64, cpu_w: f64, total_w: f64) {
+        for _ in 0..600 {
+            bank.step_one(0, 30.0, intake, cpu_w, total_w);
+        }
+    }
+
+    #[test]
+    fn bank_matches_rc_network_bit_for_bit() {
+        let mut bank = CaseBank::new();
+        let mut nets = Vec::new();
         for params in vendors() {
             bank.push(&params, 18.0);
-            objs.push(ServerCaseThermal::new(params, 18.0));
+            nets.push(RcCase::new(&params, 18.0));
         }
         for step in 0..3_000 {
-            for (i, obj) in objs.iter_mut().enumerate() {
+            for (i, net) in nets.iter_mut().enumerate() {
                 let intake = wiggle(step + i, 12.0, -4.0);
                 let cpu_w = wiggle(step, 20.0, 40.0).max(0.0);
                 let total_w = cpu_w + wiggle(step, 30.0, 60.0).max(0.0);
-                obj.step(60.0, intake, cpu_w, total_w);
+                net.step(60.0, intake, cpu_w, total_w);
                 bank.step_one(i, 60.0, intake, cpu_w, total_w);
                 assert_eq!(
-                    obj.cpu_temp_c().to_bits(),
+                    net.cpu_temp_c().to_bits(),
                     bank.cpu_temp_c(i).to_bits(),
                     "cpu diverged at step {step} host {i}"
                 );
                 assert_eq!(
-                    obj.case_temp_c().to_bits(),
+                    net.case_temp_c().to_bits(),
                     bank.case_temp_c(i).to_bits(),
                     "case diverged at step {step} host {i}"
                 );
-                assert_eq!(obj.hdd_temp_c().to_bits(), bank.hdd_temp_c(i).to_bits());
+                assert_eq!(net.hdd_temp_c().to_bits(), bank.hdd_temp_c(i).to_bits());
             }
         }
     }
 
     #[test]
-    fn negative_other_power_clamps_like_object_model() {
+    fn negative_other_power_clamps_like_rc_network() {
         // total < cpu: the non-CPU share clamps to zero in both models.
         let params = ServerThermalParams::vendor_b_sff();
-        let mut obj = ServerCaseThermal::new(params.clone(), 18.0);
-        let mut bank = CaseBank::new();
-        bank.push(&params, 18.0);
+        let mut net = RcCase::new(&params, 18.0);
+        let mut bank = one_case(params, 18.0);
         for _ in 0..500 {
-            obj.step(60.0, -8.0, 50.0, 30.0);
+            net.step(60.0, -8.0, 50.0, 30.0);
             bank.step_one(0, 60.0, -8.0, 50.0, 30.0);
         }
-        assert_eq!(obj.cpu_temp_c().to_bits(), bank.cpu_temp_c(0).to_bits());
-        assert_eq!(obj.case_temp_c().to_bits(), bank.case_temp_c(0).to_bits());
+        assert_eq!(net.cpu_temp_c().to_bits(), bank.cpu_temp_c(0).to_bits());
+        assert_eq!(net.case_temp_c().to_bits(), bank.case_temp_c(0).to_bits());
     }
 
     #[test]
     fn dt_changes_reprime_the_integrator_cache() {
         let params = ServerThermalParams::vendor_a_tower();
-        let mut obj = ServerCaseThermal::new(params.clone(), 18.0);
-        let mut bank = CaseBank::new();
-        bank.push(&params, 18.0);
+        let mut net = RcCase::new(&params, 18.0);
+        let mut bank = one_case(params, 18.0);
         // Alternate step widths: the cache must refresh, not reuse stale
         // substep constants.
         for step in 0..400 {
             let dt = if step % 3 == 0 { 60.0 } else { 17.5 };
-            obj.step(dt, -2.0, 30.0, 80.0);
+            net.step(dt, -2.0, 30.0, 80.0);
             bank.step_one(0, dt, -2.0, 30.0, 80.0);
-            assert_eq!(obj.cpu_temp_c().to_bits(), bank.cpu_temp_c(0).to_bits());
+            assert_eq!(net.cpu_temp_c().to_bits(), bank.cpu_temp_c(0).to_bits());
         }
     }
 
     #[test]
     fn zero_dt_is_a_no_op() {
-        let params = ServerThermalParams::vendor_c_2u();
-        let mut bank = CaseBank::new();
-        bank.push(&params, 21.0);
+        let mut bank = one_case(ServerThermalParams::vendor_c_2u(), 21.0);
         bank.step_one(0, 0.0, -20.0, 100.0, 200.0);
         assert_eq!(bank.cpu_temp_c(0), 21.0);
         assert_eq!(bank.case_temp_c(0), 21.0);
@@ -263,22 +381,95 @@ mod tests {
         // must integrate exactly (the dt cache is invalidated by push).
         let a = ServerThermalParams::vendor_a_tower();
         let c = ServerThermalParams::vendor_c_2u();
-        let mut obj_a = ServerCaseThermal::new(a.clone(), 18.0);
-        let mut obj_c = ServerCaseThermal::new(c.clone(), 18.0);
+        let mut net_a = RcCase::new(&a, 18.0);
+        let mut net_c = RcCase::new(&c, 18.0);
         let mut bank = CaseBank::new();
         bank.push(&a, 18.0);
         for _ in 0..50 {
-            obj_a.step(60.0, -5.0, 20.0, 70.0);
+            net_a.step(60.0, -5.0, 20.0, 70.0);
             bank.step_one(0, 60.0, -5.0, 20.0, 70.0);
         }
         bank.push(&c, 18.0);
         for _ in 0..50 {
-            obj_a.step(60.0, -5.0, 20.0, 70.0);
-            obj_c.step(60.0, 21.0, 60.0, 200.0);
+            net_a.step(60.0, -5.0, 20.0, 70.0);
+            net_c.step(60.0, 21.0, 60.0, 200.0);
             bank.step_one(0, 60.0, -5.0, 20.0, 70.0);
             bank.step_one(1, 60.0, 21.0, 60.0, 200.0);
         }
-        assert_eq!(obj_a.cpu_temp_c().to_bits(), bank.cpu_temp_c(0).to_bits());
-        assert_eq!(obj_c.cpu_temp_c().to_bits(), bank.cpu_temp_c(1).to_bits());
+        assert_eq!(net_a.cpu_temp_c().to_bits(), bank.cpu_temp_c(0).to_bits());
+        assert_eq!(net_c.cpu_temp_c().to_bits(), bank.cpu_temp_c(1).to_bits());
+    }
+
+    #[test]
+    fn paper_cpu_reading_reproduced() {
+        // Prototype weekend: ambient ≈ −10 °C, idle generic PC.
+        // The paper observed CPU ≈ −4 °C.
+        let mut s = one_case(ServerThermalParams::vendor_a_tower(), -10.0);
+        settle(&mut s, -10.0, 12.0, 70.0);
+        let cpu = s.cpu_temp_c(0);
+        assert!((-7.0..=-1.0).contains(&cpu), "idle CPU at {cpu} °C");
+    }
+
+    #[test]
+    fn load_raises_cpu_temperature() {
+        let mut s = one_case(ServerThermalParams::vendor_a_tower(), 20.0);
+        settle(&mut s, 20.0, 15.0, 90.0);
+        let idle = s.cpu_temp_c(0);
+        settle(&mut s, 20.0, 65.0, 140.0);
+        let load = s.cpu_temp_c(0);
+        assert!(load > idle + 10.0, "idle {idle}, load {load}");
+    }
+
+    #[test]
+    fn vendor_b_runs_hotter_than_a() {
+        let mut a = one_case(ServerThermalParams::vendor_a_tower(), 21.0);
+        let mut b = one_case(ServerThermalParams::vendor_b_sff(), 21.0);
+        settle(&mut a, 21.0, 60.0, 120.0);
+        settle(&mut b, 21.0, 60.0, 120.0);
+        assert!(
+            b.cpu_temp_c(0) > a.cpu_temp_c(0) + 8.0,
+            "B {} vs A {}",
+            b.cpu_temp_c(0),
+            a.cpu_temp_c(0)
+        );
+    }
+
+    #[test]
+    fn cold_intake_alleviates_vendor_b_heat_problem() {
+        // Research question 4: vendor B in the basement (21 °C) vs the tent
+        // (−5 °C): the cold should pull the hot SFF CPUs well below their
+        // indoor operating point.
+        let mut indoors = one_case(ServerThermalParams::vendor_b_sff(), 21.0);
+        let mut tent = one_case(ServerThermalParams::vendor_b_sff(), -5.0);
+        settle(&mut indoors, 21.0, 60.0, 120.0);
+        settle(&mut tent, -5.0, 60.0, 120.0);
+        assert!(tent.cpu_temp_c(0) < indoors.cpu_temp_c(0) - 20.0);
+    }
+
+    #[test]
+    fn case_between_intake_and_cpu() {
+        let mut s = one_case(ServerThermalParams::vendor_c_2u(), 10.0);
+        settle(&mut s, 10.0, 80.0, 250.0);
+        assert!(s.case_temp_c(0) > 10.0);
+        assert!(s.cpu_temp_c(0) > s.case_temp_c(0));
+        assert!(s.hdd_temp_c(0) > s.case_temp_c(0));
+    }
+
+    #[test]
+    fn thermal_response_is_minutes_not_hours() {
+        // After an intake step change, the CPU should be most of the way to
+        // the new equilibrium within ~15 minutes.
+        let mut s = one_case(ServerThermalParams::vendor_a_tower(), 20.0);
+        settle(&mut s, 20.0, 15.0, 80.0);
+        let before = s.cpu_temp_c(0);
+        for _ in 0..30 {
+            s.step_one(0, 30.0, 0.0, 15.0, 80.0);
+        }
+        let after_15min = s.cpu_temp_c(0);
+        assert!(
+            before - after_15min > 12.0,
+            "only moved {} K",
+            before - after_15min
+        );
     }
 }

@@ -16,14 +16,14 @@
 //!   openings, and the four documented modifications as config switches;
 //! * [`basement`] — the control group's conditioned shelter (stable,
 //!   office-type air, per §3.4);
-//! * [`server_case`] — the in-chassis chain: enclosure air → case air → CPU
-//!   and disks, each a first-order lag. This is what turns "−10 °C outside"
-//!   into the paper's "CPU at −4 °C" reading;
 //! * [`enclosure`] — the trait the experiment uses to treat tent, basement
 //!   and the prototype's plastic boxes uniformly;
-//! * [`bank`] — the fleet-scale struct-of-arrays chassis kernel: the same
-//!   case/CPU physics as [`server_case`], stored as flat columns and stepped
-//!   with zero per-tick allocations (bit-identical to the object model).
+//! * [`bank`] — the in-chassis chain: enclosure air → case air → CPU and
+//!   disks. This is what turns "−10 °C outside" into the paper's "CPU at
+//!   −4 °C" reading. Every host's chassis, from the prototype's one PC to a
+//!   10,000-host fleet, is a row of flat columns stepped with zero per-tick
+//!   allocations by a closed-form kernel that reproduces the [`network`]
+//!   solver bit for bit.
 //!
 //! All temperatures °C, powers W, conductances W/K, capacities J/K.
 
@@ -34,12 +34,10 @@ pub mod bank;
 pub mod basement;
 pub mod enclosure;
 pub mod network;
-pub mod server_case;
 pub mod tent;
 
-pub use bank::CaseBank;
+pub use bank::{CaseBank, ServerThermalParams};
 pub use basement::Basement;
 pub use enclosure::{Enclosure, EnclosureState, PlasticBoxes};
 pub use network::RcNetwork;
-pub use server_case::{ServerCaseThermal, ServerThermalParams};
 pub use tent::{Tent, TentConfig, TentParams};

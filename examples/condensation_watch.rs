@@ -19,8 +19,8 @@ use frostlab::climate::presets;
 use frostlab::climate::psychro::condensation_risk;
 use frostlab::climate::weather::WeatherModel;
 use frostlab::simkern::time::{SimDuration, SimTime};
+use frostlab::thermal::bank::{CaseBank, ServerThermalParams};
 use frostlab::thermal::enclosure::Enclosure;
-use frostlab::thermal::server_case::{ServerCaseThermal, ServerThermalParams};
 use frostlab::thermal::tent::{Tent, TentConfig, TentParams};
 
 fn main() {
@@ -35,12 +35,13 @@ fn main() {
     let end = SimTime::from_date(2010, 5, 13);
     let first = wx.sample_at(start);
     let mut tent = Tent::new(TentParams::default(), TentConfig::fully_modified(), &first);
-    let mut powered = ServerCaseThermal::new(ServerThermalParams::vendor_a_tower(), first.temp_c);
+    let mut cases = CaseBank::new();
+    let powered = cases.push(&ServerThermalParams::vendor_a_tower(), first.temp_c);
     // The dead chassis: no fans (natural convection only, ~2 W/K) and the
     // full metal mass (~20 kJ/K) ⇒ a multi-hour lag behind the air — this
     // is what makes a cold-soaked machine dangerous when a warm front hits.
-    let mut dead = ServerCaseThermal::new(
-        ServerThermalParams {
+    let dead = cases.push(
+        &ServerThermalParams {
             case_airflow_w_k: 2.0,
             case_capacity_j_k: 20_000.0,
             ..ServerThermalParams::vendor_a_tower()
@@ -58,11 +59,11 @@ fn main() {
         let w = wx.sample_at(t);
         tent.step(60.0, &w, 1000.0);
         let air = tent.state();
-        powered.step(60.0, air.air_temp_c, 18.0, 85.0);
-        dead.step(60.0, air.air_temp_c, 0.0, 0.0);
+        cases.step_one(powered, 60.0, air.air_temp_c, 18.0, 85.0);
+        cases.step_one(dead, 60.0, air.air_temp_c, 0.0, 0.0);
 
-        let rp = condensation_risk(air.air_temp_c, air.air_rh_pct, powered.case_temp_c());
-        let rd = condensation_risk(air.air_temp_c, air.air_rh_pct, dead.case_temp_c());
+        let rp = condensation_risk(air.air_temp_c, air.air_rh_pct, cases.case_temp_c(powered));
+        let rd = condensation_risk(air.air_temp_c, air.air_rh_pct, cases.case_temp_c(dead));
         worst_powered = worst_powered.min(rp.margin_k);
         worst_dead = worst_dead.min(rd.margin_k);
         if rp.condenses {

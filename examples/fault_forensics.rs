@@ -13,8 +13,8 @@
 use frostlab::analysis::memory_est::{estimate, ExposureInputs};
 use frostlab::analysis::report::one_in;
 use frostlab::compress::recover::recover;
-use frostlab::hardware::disk::SelfTestResult;
-use frostlab::hardware::server::{Server, ServerSpec};
+use frostlab::hardware::columns::HostBank;
+use frostlab::hardware::server::ServerSpec;
 use frostlab::simkern::rng::Rng;
 use frostlab::workload::job::{JobConfig, JobRunner};
 
@@ -64,13 +64,11 @@ fn main() {
         100.0 * report.salvaged.len() as f64 / archive.len() as f64
     );
 
-    // Rule out the disks, like the paper did.
-    let mut server = Server::new(ServerSpec::vendor_a());
-    server.tick(2000.0, -5.0); // months of cold operation
-    let mut all_pass = true;
-    server.storage.for_each_disk_mut(|d| {
-        all_pass &= d.long_self_test() == SelfTestResult::Passed;
-    });
+    // Rule out the disks, like the paper did: months of cold operation
+    // left no pending sector on either drive of the mirror.
+    let mut hosts = HostBank::new();
+    let host = hosts.push_host(&ServerSpec::vendor_a());
+    let all_pass = hosts.disks_all_long_tests_pass(host);
     println!(
         "S.M.A.R.T. long tests: {}",
         if all_pass {

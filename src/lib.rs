@@ -15,7 +15,7 @@
 //! | [`simkern`] | simulation time, deterministic PRNG |
 //! | [`climate`] | Helsinki winter 2010 (and the Intel/HP comparison climates) |
 //! | [`thermal`] | the tent (R/I/B/F mods), the basement, server chassis |
-//! | [`hardware`] | vendors A/B/C, sensors, non-ECC DIMMs, disks, RAID, switches |
+//! | [`hardware`] | vendors A/B/C, sensors, non-ECC DIMMs, PSUs, S.M.A.R.T., Memtest86+ |
 //! | [`faults`] | Arrhenius/Peck/Coffin–Manson hazards, injection, repair policy |
 //! | [`compress`] | tar, bzip2-style block compression, MD5, `bzip2recover` |
 //! | [`workload`] | the 10-minute pack-verify load with 0–119 s jitter |

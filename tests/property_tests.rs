@@ -10,8 +10,6 @@ use frostlab::compress::md5::md5;
 use frostlab::compress::mtf::{mtf_decode, mtf_encode};
 use frostlab::compress::recover::recover;
 use frostlab::compress::rle::{rle_decode, rle_encode};
-use frostlab::hardware::disk::{Disk, BLOCK_SIZE};
-use frostlab::hardware::raid::{Raid1, Raid5};
 use frostlab::netsim::rsyncp;
 use frostlab::simkern::rng::Rng;
 use proptest::prelude::*;
@@ -139,40 +137,6 @@ proptest! {
             .collect();
         let tar = archive(&entries);
         prop_assert_eq!(unarchive(&tar).expect("own archive"), entries);
-    }
-
-    #[test]
-    fn raid5_tolerates_any_single_failure(
-        writes in proptest::collection::vec((0usize..30, any::<u8>()), 1..40),
-        victim in 0usize..3,
-    ) {
-        let mut arr = Raid5::new(vec![Disk::new(10), Disk::new(10), Disk::new(10)]);
-        let mut model = vec![[0u8; BLOCK_SIZE]; arr.num_blocks()];
-        for (block, byte) in writes {
-            let block = block % arr.num_blocks();
-            let data = [byte; BLOCK_SIZE];
-            arr.write_block(block, &data).expect("healthy array");
-            model[block] = data;
-        }
-        arr.member_mut(victim).fail();
-        for (i, expect) in model.iter().enumerate() {
-            prop_assert_eq!(&arr.read_block(i).expect("degraded read"), expect);
-        }
-    }
-
-    #[test]
-    fn raid1_mirrors_agree_after_any_write_sequence(
-        writes in proptest::collection::vec((0usize..16, any::<u8>()), 1..40),
-    ) {
-        let mut arr = Raid1::new(Disk::new(16), Disk::new(16));
-        for (block, byte) in &writes {
-            arr.write_block(*block, &[*byte; BLOCK_SIZE]).expect("healthy mirror");
-        }
-        for i in 0..16 {
-            let a = *arr.member(0).read_block(i).expect("member 0");
-            let b = *arr.member(1).read_block(i).expect("member 1");
-            prop_assert_eq!(a, b);
-        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use frostlab::core::config::{ExperimentConfig, FaultMode};
 use frostlab::core::fleet::FleetSpec;
+use frostlab::core::results::ExperimentResults;
 use frostlab::core::ScenarioBuilder;
 use frostlab::ensemble::sweep;
 
@@ -29,9 +30,22 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// summary JSON at seed 42.
 const KILOHOST_SUMMARY_GOLDEN: u64 = 0x40a96efb7dc2ec4e;
 
+/// Golden hash of the same campaign's collection stream: every attempt
+/// record, one per line, then every healed gap.
+const KILOHOST_COLLECTION_GOLDEN: u64 = 0xea02dc5262840495;
+
 /// Golden hash of the 1,000-host ensemble invariant summary (2 seeds,
 /// one day each) — identical at 1 and 4 threads.
 const KILOHOST_ENSEMBLE_GOLDEN: u64 = 0xb38f13e9b3615230;
+
+/// The collection stream: every attempt record (host, time, kind, and the
+/// outcome with its files updated and literal bytes), one per line, then
+/// every healed gap.
+fn collection_records(results: &ExperimentResults) -> String {
+    let records = results.collection.iter().map(|r| format!("{r:?}\n"));
+    let gaps = results.collection_gaps.iter().map(|g| format!("{g:?}\n"));
+    records.chain(gaps).collect()
+}
 
 fn kilohost_config(seed: u64) -> ExperimentConfig {
     ExperimentConfig {
@@ -46,10 +60,15 @@ fn kilohost_campaign_matches_golden() {
     let results = ScenarioBuilder::paper(kilohost_config(42)).build().run();
     assert_eq!(results.hosts.len(), 1_000, "fleet size");
     let summary = results.summary().to_json().expect("summary serializes");
+    let collection = collection_records(&results);
     if std::env::var_os("GOLDEN_PRINT").is_some() {
         println!(
             "KILOHOST_SUMMARY_GOLDEN = {:#018x}",
             fnv1a(summary.as_bytes())
+        );
+        println!(
+            "KILOHOST_COLLECTION_GOLDEN = {:#018x}",
+            fnv1a(collection.as_bytes())
         );
         return;
     }
@@ -58,6 +77,12 @@ fn kilohost_campaign_matches_golden() {
         KILOHOST_SUMMARY_GOLDEN,
         "1,000-host campaign summary drifted:\n{}",
         &summary[..summary.len().min(400)]
+    );
+    assert_eq!(
+        fnv1a(collection.as_bytes()),
+        KILOHOST_COLLECTION_GOLDEN,
+        "1,000-host collection stream drifted (first 400 chars):\n{}",
+        &collection[..collection.len().min(400)]
     );
 }
 

@@ -14,6 +14,7 @@
 //! and update the constants — in its own commit, with the reason.
 
 use frostlab::core::config::{ExperimentConfig, FaultMode};
+use frostlab::core::results::ExperimentResults;
 use frostlab::core::{figures, tables, ScenarioBuilder};
 use frostlab::ensemble::sweep;
 
@@ -41,11 +42,21 @@ const PAPER_GOLDEN: &[(&str, u64)] = &[
     ("fig4_summary", 0x5757649f6cc34f04),
     ("summary_json", 0x530e6fadd626f22f),
     ("incident_log_json", 0xd5724a97f91eb2df),
+    ("collection_records", 0xaa3a5d127cdbe97f),
 ];
 
 /// Golden hash of the ensemble invariant summary (6 stochastic 5-day
 /// campaigns, seeds 0..6) — identical at 1 and 4 threads.
 const ENSEMBLE_GOLDEN: u64 = 0xa635290fa36c7ef4;
+
+/// The collection stream: every attempt record (host, time, kind, and the
+/// outcome with its files updated and literal bytes), one per line, then
+/// every healed gap.
+fn collection_records(results: &ExperimentResults) -> String {
+    let records = results.collection.iter().map(|r| format!("{r:?}\n"));
+    let gaps = results.collection_gaps.iter().map(|g| format!("{g:?}\n"));
+    records.chain(gaps).collect()
+}
 
 fn paper_artifacts() -> Vec<(&'static str, String)> {
     let results = ScenarioBuilder::paper(ExperimentConfig::paper_scripted(42))
@@ -70,6 +81,7 @@ fn paper_artifacts() -> Vec<(&'static str, String)> {
             "incident_log_json",
             results.incident_log_json().expect("ledger serializes"),
         ),
+        ("collection_records", collection_records(&results)),
     ]
 }
 

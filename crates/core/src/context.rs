@@ -522,6 +522,7 @@ impl CampaignCtx {
             );
         }
 
+        let (collection, collection_gaps) = self.collector.into_history();
         ExperimentResults {
             seed: self.cfg.seed,
             window: (self.cfg.start, self.cfg.end),
@@ -537,8 +538,8 @@ impl CampaignCtx {
             workload: self.workload,
             fault_events: self.fault_events,
             hosts,
-            collection: self.collector.history().to_vec(),
-            collection_gaps: self.collector.gaps().to_vec(),
+            collection,
+            collection_gaps,
             incidents: self.watchdog.into_incidents(),
             stored_archives: self.stored_archives,
             tent_energy_metered_kwh: self.meter.energy_kwh(),

@@ -119,7 +119,7 @@ pub struct FleetState {
     pub faults: Vec<HostFaults>,
     /// Repair-workflow histories.
     pub records: Vec<HostRecord>,
-    /// Collectable log stores.
+    /// Collectable log stores: a byte count per daily file.
     pub stores: Vec<MonitoredHost>,
 }
 

@@ -385,6 +385,9 @@ impl TickPhase for ScriptPhase {
 /// line buffer, the tick's timestamp, the day-cached log file names) is
 /// phase-owned and reused, so the hot loop performs zero heap allocations
 /// per tick and formats the tick's date-time once, not once per line.
+///
+/// Every log line is still formatted in full, because a sensor line's
+/// length depends on its numbers, but the host store keeps only its length.
 #[derive(Debug)]
 pub struct HostStepPhase {
     next_fault_poll: SimTime,
@@ -395,6 +398,9 @@ pub struct HostStepPhase {
     sensors_log: String,
     md5sums_log: String,
     log_day: (u32, u32),
+    /// Every line appended, as (host index, file, line), for unit tests.
+    #[cfg(test)]
+    logged: Vec<(usize, String, String)>,
 }
 
 impl HostStepPhase {
@@ -409,6 +415,8 @@ impl HostStepPhase {
             sensors_log: String::new(),
             md5sums_log: String::new(),
             log_day: (0, 0),
+            #[cfg(test)]
+            logged: Vec::new(),
         }
     }
 }
@@ -504,7 +512,10 @@ impl TickPhase for HostStepPhase {
                     Some(v) => writeln!(self.line_buf, " cpu={v:.1} rh={:.0}", encl.air_rh_pct),
                     None => writeln!(self.line_buf, " cpu=n/a rh={:.0}", encl.air_rh_pct),
                 };
-                stores[i].append(&self.sensors_log, self.line_buf.as_bytes());
+                stores[i].append(&self.sensors_log, &self.line_buf);
+                #[cfg(test)]
+                self.logged
+                    .push((i, self.sensors_log.clone(), self.line_buf.clone()));
                 next_sensor_log[i] = t + sensor_log_interval;
             }
 
@@ -580,7 +591,10 @@ impl TickPhase for HostStepPhase {
                 self.line_buf.push(' ');
                 self.line_buf.push_str(&outcome.hash);
                 self.line_buf.push_str(" run\n");
-                stores[i].append(&self.md5sums_log, self.line_buf.as_bytes());
+                stores[i].append(&self.md5sums_log, &self.line_buf);
+                #[cfg(test)]
+                self.logged
+                    .push((i, self.md5sums_log.clone(), self.line_buf.clone()));
                 if !outcome.hash_ok {
                     workload.record_hash_error(plans[i].id, placement[i], t);
                     if let Some(bytes) = outcome.stored_archive {
@@ -812,7 +826,8 @@ mod tests {
     #[test]
     fn host_step_stamps_every_log_line_with_its_own_tick() {
         // The goldens pin line lengths, not which tick a stamp came from:
-        // check each new line against the tick that wrote it.
+        // check each new line against the tick that wrote it, and that the
+        // host store counted exactly the lines logged.
         let cfg = ExperimentConfig::short(1, 3);
         let mut phase = HostStepPhase::new(&cfg);
         let tick = cfg.tick;
@@ -820,40 +835,41 @@ mod tests {
         ctx.now = *ctx.fleet.install_at.iter().min().expect("a fleet");
         let hosts = ctx.fleet.len();
         let log_len = |ctx: &CampaignCtx, i: usize, name: &str| {
-            ctx.fleet.stores[i].file(name).map_or(0, <[u8]>::len)
+            ctx.fleet.stores[i].log_len(name).unwrap_or(0)
         };
         let (mut md5_ticks, mut sensor_ticks) = (Vec::new(), Vec::new());
         for _ in 0..30 {
             let t = ctx.now;
             let (md5sums, sensors) = (daily_log("md5sums", t), daily_log("sensors", t));
-            let before: Vec<(usize, usize)> = (0..hosts)
+            let mut grown: Vec<(usize, usize)> = (0..hosts)
                 .map(|i| (log_len(&ctx, i, &md5sums), log_len(&ctx, i, &sensors)))
                 .collect();
             phase.step(&mut ctx);
             let stamp = t.datetime().to_string();
-            for (i, &(md5_from, sensor_from)) in before.iter().enumerate() {
-                let store = &ctx.fleet.stores[i];
-                let golden = format!("{} {} run\n", t.datetime(), ctx.fleet.jobs[i].golden_hash());
-                if let Some(log) = store.file(&md5sums) {
-                    for line in log[md5_from..].split_inclusive(|&b| b == b'\n') {
-                        assert_eq!(
-                            line,
-                            golden.as_bytes(),
-                            "md5sums line of host {i} at {stamp}"
-                        );
-                        md5_ticks.push(t);
-                    }
+            for (i, file, line) in phase.logged.drain(..) {
+                if file == md5sums {
+                    let golden =
+                        format!("{} {} run\n", t.datetime(), ctx.fleet.jobs[i].golden_hash());
+                    assert_eq!(line, golden, "md5sums line of host {i} at {stamp}");
+                    grown[i].0 += line.len();
+                    md5_ticks.push(t);
+                } else {
+                    assert_eq!(file, sensors, "log file of host {i} at {stamp}");
+                    assert!(
+                        line.starts_with(&stamp) && line.ends_with('\n'),
+                        "sensors line of host {i} at {stamp}: {line}"
+                    );
+                    grown[i].1 += line.len();
+                    sensor_ticks.push(t);
                 }
-                if let Some(log) = store.file(&sensors) {
-                    for line in log[sensor_from..].split_inclusive(|&b| b == b'\n') {
-                        assert!(
-                            line.starts_with(stamp.as_bytes()) && line.ends_with(b"\n"),
-                            "sensors line of host {i} at {stamp}: {}",
-                            String::from_utf8_lossy(line)
-                        );
-                        sensor_ticks.push(t);
-                    }
-                }
+            }
+            for (i, &(md5_len, sensor_len)) in grown.iter().enumerate() {
+                assert_eq!(log_len(&ctx, i, &md5sums), md5_len, "md5sums of host {i}");
+                assert_eq!(
+                    log_len(&ctx, i, &sensors),
+                    sensor_len,
+                    "sensors of host {i}"
+                );
             }
             ctx.now += tick;
         }

@@ -7,12 +7,12 @@
 //! program."
 //!
 //! [`Collector`] mirrors each host's little log directory. A round against
-//! one host: authenticate ([`crate::auth`]), exchange rsync signatures and
-//! deltas per file ([`crate::rsyncp`]), update the mirror, account the
-//! literal bytes that crossed the wire. The hosts' logs only grow, so the
-//! mirror of a file is the synced prefix of the host's own log: the
-//! collector keeps an [`rsyncp::AppendSync`] index per file, not a second
-//! copy of the bytes.
+//! one host: authenticate ([`crate::auth`]), then rsync every file that
+//! grew since the last round and account the literal bytes that crossed
+//! the wire. The hosts' logs are stamped and append-only, so what rsync
+//! ships depends only on two lengths per file ([`log_delta`]). A host
+//! therefore keeps one length per daily file, not the bytes, and the
+//! collector's mirror of a file is just how much of it has been synced.
 //!
 //! When a host cannot be reached (§4.2.1's switch deaths, a hung machine)
 //! the round records an [`CollectOutcome::Unreachable`] outcome carrying the
@@ -32,20 +32,60 @@ use frostlab_simkern::rng::Rng;
 use frostlab_simkern::time::{SimDuration, SimTime};
 
 use crate::auth::{handshake, Acceptor, HandshakeResult, KeyPair};
-use crate::rsyncp;
 
 /// Block size used for rsync signatures.
 pub const RSYNC_BLOCK: usize = 512;
 
+/// The longest line a host may log, newline included: at most
+/// `(RSYNC_BLOCK − 1) / 2` bytes, so that any `RSYNC_BLOCK − 1` bytes of a
+/// log hold one whole line (the premise of [`log_delta`]).
+pub const MAX_LINE: usize = (RSYNC_BLOCK - 1) / 2;
+
+/// What one rsync round ships for a file that grew.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogDelta {
+    /// Literal bytes on the wire.
+    pub literal_bytes: usize,
+    /// Copy instructions: blocks the receiver already has.
+    pub copies: usize,
+}
+
+/// The delta rsync ships when a log grows from `synced` to `len` bytes
+/// (`len > synced`): one copy per full synced block, and every byte from
+/// the last full-block boundary on as a literal.
+///
+/// This is what [`crate::rsyncp::sync`] of `log[..synced]` against
+/// `log[..len]` yields, in literal bytes and copy count, when every line is
+/// at most [`MAX_LINE`] bytes and starts with a stamp that occurs nowhere
+/// else in the file. Then every piece the sender's scan compares past the
+/// boundary holds a whole stamp, which no synced block can hold at the
+/// same offset (DESIGN §4 gives the proof).
+pub fn log_delta(synced: usize, len: usize) -> LogDelta {
+    debug_assert!(len > synced, "a changed log grows");
+    let copies = synced / RSYNC_BLOCK;
+    LogDelta {
+        literal_bytes: len - copies * RSYNC_BLOCK,
+        copies,
+    }
+}
+
+/// One daily log file: the bytes the host has logged to it, and how many
+/// of them the collector has synced.
+#[derive(Debug, Clone)]
+struct LogFile {
+    len: usize,
+    synced: usize,
+}
+
 /// A monitored host's log store plus its SSH acceptor.
 ///
-/// The logs only grow: [`MonitoredHost::append`] is the only writer. The
-/// [`Collector`] relies on that contract to keep no copy of the bytes.
+/// The store counts bytes: each file is its length and its synced length.
+/// The logs only grow, and [`MonitoredHost::append`] is the only writer.
 #[derive(Debug, Clone)]
 pub struct MonitoredHost {
     /// Paper host number.
     pub id: u32,
-    files: BTreeMap<String, Vec<u8>>,
+    files: BTreeMap<String, LogFile>,
     acceptor: Acceptor,
 }
 
@@ -60,25 +100,35 @@ impl MonitoredHost {
         }
     }
 
-    /// Append bytes to a log file (md5sum log, sensor log, …).
-    pub fn append(&mut self, file: &str, bytes: &[u8]) {
+    /// Append one line, ending in its only `\n` and at most [`MAX_LINE`]
+    /// bytes long, to a log file (md5sum log, sensor log, …).
+    pub fn append(&mut self, file: &str, line: &str) {
+        debug_assert!(
+            line.len() <= MAX_LINE && line.find('\n') == Some(line.len() - 1),
+            "not one log line of at most {MAX_LINE} bytes: {line:?}"
+        );
         // Look up before inserting: the common case is an existing file,
         // and `entry` would allocate a key String on every append.
-        if let Some(content) = self.files.get_mut(file) {
-            content.extend_from_slice(bytes);
+        if let Some(log) = self.files.get_mut(file) {
+            log.len += line.len();
         } else {
-            self.files.insert(file.to_string(), bytes.to_vec());
+            let log = LogFile {
+                len: line.len(),
+                synced: 0,
+            };
+            self.files.insert(file.to_string(), log);
         }
     }
 
-    /// Current content of a file.
-    pub fn file(&self, file: &str) -> Option<&[u8]> {
-        self.files.get(file).map(|v| v.as_slice())
+    /// Bytes logged to a file so far.
+    pub fn log_len(&self, file: &str) -> Option<usize> {
+        self.files.get(file).map(|log| log.len)
     }
 
-    /// File names present.
-    pub fn file_names(&self) -> Vec<String> {
-        self.files.keys().cloned().collect()
+    /// Bytes of a file the collector has synced: its mirror is the file's
+    /// first `synced_len` bytes.
+    pub fn synced_len(&self, file: &str) -> Option<usize> {
+        self.files.get(file).map(|log| log.synced)
     }
 }
 
@@ -203,7 +253,6 @@ pub struct Collector {
     pub interval: SimDuration,
     /// Catch-up retry schedule.
     pub retry: RetryPolicy,
-    mirrors: BTreeMap<u32, BTreeMap<String, rsyncp::AppendSync>>,
     history: Vec<CollectRecord>,
     /// Root of the per-host jitter streams (derived, so creating it does not
     /// perturb the caller's RNG draws).
@@ -222,7 +271,6 @@ impl Collector {
             key: KeyPair::generate(rng),
             interval: SimDuration::minutes(20),
             retry: RetryPolicy::default(),
-            mirrors: BTreeMap::new(),
             history: Vec::new(),
             retry_rng,
             retries: BTreeMap::new(),
@@ -230,13 +278,6 @@ impl Collector {
             first_attempt: BTreeMap::new(),
             gaps: Vec::new(),
         }
-    }
-
-    /// The mirror of one host's file, as of the last successful round: the
-    /// synced prefix of the host's own log.
-    pub fn mirrored<'a>(&self, host: &'a MonitoredHost, file: &str) -> Option<&'a [u8]> {
-        let synced = self.mirrors.get(&host.id)?.get(file)?.synced_len();
-        Some(&host.file(file)?[..synced])
     }
 
     /// All attempts so far.
@@ -247,6 +288,11 @@ impl Collector {
     /// Healed outages so far.
     pub fn gaps(&self) -> &[CollectionGap] {
         &self.gaps
+    }
+
+    /// The attempt history and the healed outages, moved out.
+    pub fn into_history(self) -> (Vec<CollectRecord>, Vec<CollectionGap>) {
+        (self.history, self.gaps)
     }
 
     /// How stale this host's mirror is. `None` until the first attempt.
@@ -326,26 +372,14 @@ impl Collector {
         } else {
             match handshake(&self.key, &mut host.acceptor) {
                 HandshakeResult::Accepted => {
-                    let mirror = self.mirrors.entry(host.id).or_default();
                     let mut files_updated = 0usize;
                     let mut literal_bytes = 0usize;
-                    for (name, content) in &host.files {
-                        // rsync's quick check: skip files whose size matches
-                        // the mirror (the hosts' logs are append-only, so a
-                        // same-size file is an unchanged file). Look up
-                        // before inserting, so a file name is allocated once
-                        // per file, not once per round.
-                        let delta = match mirror.get_mut(name.as_str()) {
-                            Some(m) if m.synced_len() == content.len() => continue,
-                            Some(m) => m.sync_from(content),
-                            None => {
-                                let mut m = rsyncp::AppendSync::new(RSYNC_BLOCK);
-                                let delta = m.sync_from(content);
-                                mirror.insert(name.clone(), m);
-                                delta
-                            }
-                        };
-                        literal_bytes += delta.literal_bytes();
+                    // rsync's quick check: skip files whose size matches
+                    // the mirror (the hosts' logs are append-only, so a
+                    // same-size file is an unchanged file).
+                    for log in host.files.values_mut().filter(|f| f.synced != f.len) {
+                        literal_bytes += log_delta(log.synced, log.len).literal_bytes;
+                        log.synced = log.len;
                         files_updated += 1;
                     }
                     CollectOutcome::Success {
@@ -434,17 +468,29 @@ mod tests {
         (collector, host)
     }
 
+    /// A stamped md5sums line, as the campaign hosts log them.
+    fn md5_line(i: u32) -> String {
+        format!(
+            "2010-03-07 {:02}:{:02}:00 {:032x} run\n",
+            i / 60,
+            i % 60,
+            31 * i
+        )
+    }
+
     #[test]
     fn first_round_ships_everything() {
         // A single sub-block line, and a 200-line log spanning many blocks.
-        let line = b"0cc175b9c0f1b6a831c399e269772661 run-0001\n".to_vec();
-        let log: Vec<u8> = (0..200)
-            .flat_map(|i| format!("2010-03-{:02} {:032x} run\n", i % 28 + 1, i * 31).into_bytes())
-            .collect();
-        assert!(log.len() > 16 * RSYNC_BLOCK);
-        for content in [line, log] {
+        for lines in [1, 200] {
             let (mut c, mut h) = setup();
-            h.append("md5sums.log", &content);
+            let len: usize = (0..lines)
+                .map(|i| {
+                    let line = md5_line(i);
+                    h.append("md5sums.log", &line);
+                    line.len()
+                })
+                .sum();
+            assert!(lines == 1 || len > 16 * RSYNC_BLOCK);
             let out = c.collect(&mut h, true, SimTime::from_secs(1200));
             match out {
                 CollectOutcome::Success {
@@ -452,18 +498,21 @@ mod tests {
                     literal_bytes,
                 } => {
                     assert_eq!(files_updated, 1);
-                    assert_eq!(literal_bytes, content.len());
+                    assert_eq!(literal_bytes, len);
                 }
                 other => panic!("{other:?}"),
             }
-            assert_eq!(c.mirrored(&h, "md5sums.log").unwrap(), &content[..]);
+            assert_eq!(h.synced_len("md5sums.log"), Some(len));
+            assert_eq!(h.log_len("md5sums.log"), Some(len));
         }
     }
 
     #[test]
     fn unchanged_files_cost_nothing() {
         let (mut c, mut h) = setup();
-        h.append("sensors.log", b"temp=-4.0 rh=35\n".repeat(50).as_slice());
+        for _ in 0..50 {
+            h.append("sensors.log", "temp=-4.0 rh=35\n");
+        }
         c.collect(&mut h, true, SimTime::from_secs(1200));
         let out = c.collect(&mut h, true, SimTime::from_secs(2400));
         assert_eq!(
@@ -478,9 +527,13 @@ mod tests {
     #[test]
     fn appended_lines_ship_small_deltas() {
         let (mut c, mut h) = setup();
-        h.append("md5sums.log", b"x".repeat(4096).as_slice());
+        for i in 0..100 {
+            h.append("md5sums.log", &md5_line(i));
+        }
+        let old = h.log_len("md5sums.log").unwrap();
+        assert!(old > 4096);
         c.collect(&mut h, true, SimTime::from_secs(1200));
-        h.append("md5sums.log", b"one new line\n");
+        h.append("md5sums.log", &md5_line(100));
         let out = c.collect(&mut h, true, SimTime::from_secs(2400));
         match out {
             CollectOutcome::Success { literal_bytes, .. } => {
@@ -488,17 +541,48 @@ mod tests {
                     literal_bytes <= 2 * RSYNC_BLOCK,
                     "append should be cheap, shipped {literal_bytes}"
                 );
+                // From the last full synced block on, and nothing before.
+                let new = h.log_len("md5sums.log").unwrap();
+                assert_eq!(literal_bytes, new - old / RSYNC_BLOCK * RSYNC_BLOCK);
             }
             other => panic!("{other:?}"),
         }
     }
 
     #[test]
+    fn log_delta_copies_every_full_synced_block() {
+        let d = |synced, len| {
+            let d = log_delta(synced, len);
+            (d.literal_bytes, d.copies)
+        };
+        assert_eq!(d(0, 40), (40, 0));
+        assert_eq!(d(511, 600), (600, 0));
+        assert_eq!(d(512, 600), (88, 1));
+        assert_eq!(d(1100, 1150), (126, 2));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not one log line")]
+    fn append_rejects_a_line_longer_than_max_line() {
+        let (_, mut h) = setup();
+        h.append("md5sums.log", &format!("{}\n", "x".repeat(MAX_LINE)));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not one log line")]
+    fn append_rejects_two_lines_at_once() {
+        let (_, mut h) = setup();
+        h.append("md5sums.log", "one\ntwo\n");
+    }
+
+    #[test]
     fn unreachable_leaves_mirror_stale_and_reports_gap() {
         let (mut c, mut h) = setup();
-        h.append("md5sums.log", b"before-failure\n");
+        h.append("md5sums.log", "before-failure\n");
         c.collect(&mut h, true, SimTime::from_secs(1200));
-        h.append("md5sums.log", b"during-switch-outage\n");
+        h.append("md5sums.log", "during-switch-outage\n");
         let out = c.collect(&mut h, false, SimTime::from_secs(2400));
         assert_eq!(
             out,
@@ -507,7 +591,7 @@ mod tests {
             },
             "gap measured from the last good round"
         );
-        assert_eq!(c.mirrored(&h, "md5sums.log").unwrap(), b"before-failure\n");
+        assert_eq!(h.synced_len("md5sums.log"), Some("before-failure\n".len()));
         assert_eq!(
             c.staleness(15, SimTime::from_secs(3000)),
             Some(SimDuration::secs(1800))
@@ -522,8 +606,8 @@ mod tests {
             }
         ));
         assert_eq!(
-            c.mirrored(&h, "md5sums.log").unwrap(),
-            b"before-failure\nduring-switch-outage\n"
+            h.synced_len("md5sums.log"),
+            Some("before-failure\nduring-switch-outage\n".len())
         );
         // …and the healed outage is on the books.
         assert_eq!(c.gaps().len(), 1);
@@ -538,7 +622,7 @@ mod tests {
     #[test]
     fn retries_back_off_exponentially_with_jitter() {
         let (mut c, mut h) = setup();
-        h.append("f", b"x");
+        h.append("f", "x\n");
         let mut at = SimTime::from_secs(0);
         let mut delays = Vec::new();
         for _ in 0..6 {
@@ -586,7 +670,7 @@ mod tests {
     #[test]
     fn successful_retry_clears_backoff_state() {
         let (mut c, mut h) = setup();
-        h.append("f", b"x");
+        h.append("f", "x\n");
         c.collect(&mut h, false, SimTime::from_secs(0));
         assert_eq!(c.due_retries(SimTime::from_secs(600)), vec![15]);
         let out = c.retry_collect(&mut h, true, SimTime::from_secs(600));
@@ -605,10 +689,10 @@ mod tests {
         let mut c = Collector::new(&mut rng);
         // Host authorizes some other key.
         let mut h = MonitoredHost::new(3, &mut rng, vec![12345]);
-        h.append("f", b"data");
+        h.append("f", "data\n");
         let out = c.collect(&mut h, true, SimTime::from_secs(0));
         assert_eq!(out, CollectOutcome::AuthFailed(HandshakeResult::UnknownKey));
-        assert!(c.mirrored(&h, "f").is_none());
+        assert_eq!(h.synced_len("f"), Some(0), "nothing synced");
         // Auth failures also enter the retry schedule (the operators would
         // investigate, but the collector keeps knocking).
         assert!(c.next_retry(3).is_some());
@@ -617,7 +701,7 @@ mod tests {
     #[test]
     fn availability_counts_scheduled_rounds_only() {
         let (mut c, mut h) = setup();
-        h.append("f", b"x");
+        h.append("f", "x\n");
         c.collect(&mut h, true, SimTime::from_secs(0));
         c.collect(&mut h, false, SimTime::from_secs(1200));
         // A failed catch-up retry must not dilute cadence availability.
@@ -634,14 +718,14 @@ mod tests {
         let mut c = Collector::new(&mut rng);
         let mut h1 = MonitoredHost::new(1, &mut rng, vec![c.key.public]);
         let mut h2 = MonitoredHost::new(2, &mut rng, vec![c.key.public]);
-        h1.append("md5sums.log", b"aaa\n");
-        h1.append("sensors.log", b"t=-5\n");
-        h2.append("md5sums.log", b"bbb\n");
+        h1.append("md5sums.log", "aaa\n");
+        h1.append("sensors.log", "t=-5\n");
+        h2.append("md5sums.log", "bbbb\n");
         c.collect(&mut h1, true, SimTime::from_secs(0));
         c.collect(&mut h2, true, SimTime::from_secs(0));
-        assert_eq!(c.mirrored(&h1, "md5sums.log").unwrap(), b"aaa\n");
-        assert_eq!(c.mirrored(&h1, "sensors.log").unwrap(), b"t=-5\n");
-        assert_eq!(c.mirrored(&h2, "md5sums.log").unwrap(), b"bbb\n");
-        assert!(c.mirrored(&h2, "sensors.log").is_none());
+        assert_eq!(h1.synced_len("md5sums.log"), Some(4));
+        assert_eq!(h1.synced_len("sensors.log"), Some(5));
+        assert_eq!(h2.synced_len("md5sums.log"), Some(5));
+        assert_eq!(h2.synced_len("sensors.log"), None);
     }
 }

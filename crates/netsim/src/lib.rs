@@ -11,14 +11,16 @@
 //! round of this pipeline against it:
 //!
 //! * [`rsyncp`] — the actual rsync algorithm: rolling weak checksum + MD5
-//!   strong checksum signatures, delta computation and application, and
-//!   `AppendSync`, the receiver's block index over an append-only log;
+//!   strong checksum signatures, delta computation and application. It is
+//!   the reference the collector's closed form is tested against;
 //! * [`auth`] — a toy Diffie–Hellman-flavoured handshake modelling the
 //!   OpenSSH public-key session setup (NOT cryptography; a protocol-flow
 //!   model, clearly labelled);
-//! * [`collector`] — the 20-minute collection round: authenticate, exchange
-//!   signatures, ship deltas, mirror the fleet's logs (each mirror is the
-//!   synced prefix of the host's own log).
+//! * [`collector`] — the 20-minute collection round: authenticate, then
+//!   account what rsync ships for each grown log. The logs are stamped and
+//!   append-only, so a round's transfer follows from two lengths per file
+//!   ([`collector::log_delta`]): hosts keep a byte count per daily file,
+//!   not the bytes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

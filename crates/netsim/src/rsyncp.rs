@@ -10,10 +10,10 @@
 //! strong hash.
 //!
 //! [`signature`], [`delta`], [`apply`] and [`sync`] are the stock
-//! algorithm over two whole files. [`AppendSync`] is the receiver's side
-//! for a file that only grows, as the collector's logs do: it keeps an
-//! index of the synced blocks instead of a copy of the bytes, and its
-//! deltas ship exactly the literal bytes [`sync`]'s would.
+//! algorithm over two whole files. Campaigns do not run it: their logs are
+//! stamped and append-only, so what a round ships follows from two lengths
+//! ([`crate::collector::log_delta`]). This module is the reference the
+//! tests hold that closed form to.
 
 use std::collections::HashMap;
 
@@ -145,86 +145,63 @@ fn weak_index(sig: &Signature) -> HashMap<u32, Vec<u32>> {
 }
 
 /// Compute the delta producing `new_data` given the receiver's `sig`.
+///
+/// The sender slides a block-sized window over `new_data`. Where the
+/// window's weak digest names a full block and MD5 confirms it, it emits a
+/// copy and jumps a block; elsewhere it rolls one byte on, and the bytes
+/// it passes become literals. The final short block, if the old file has
+/// one, is matched separately at the tail.
 pub fn delta(sig: &Signature, new_data: &[u8]) -> Delta {
+    let bs = sig.block_size;
     let index = weak_index(sig);
-    let last = sig.blocks.len().wrapping_sub(1);
-    let short_tail = sig.total_len % sig.block_size;
     let mut ops = Vec::new();
-    scan(
-        new_data,
-        0,
-        sig.block_size,
-        !index.is_empty(),
-        |weak, window| {
-            let candidates = index.get(&weak)?;
+    let flush = |ops: &mut Vec<DeltaOp>, from: usize, to: usize| {
+        if from < to {
+            ops.push(DeltaOp::Literal(new_data[from..to].to_vec()));
+        }
+    };
+    // With no full block to find, the window jumps straight to the tail.
+    let mut pos = if index.is_empty() {
+        (new_data.len() + 1).saturating_sub(bs)
+    } else {
+        0
+    };
+    let mut literal_from = 0;
+    let mut roll: Option<Rolling> = None;
+    while pos + bs <= new_data.len() {
+        let window = &new_data[pos..pos + bs];
+        let r = roll.get_or_insert_with(|| Rolling::new(window));
+        let found = index.get(&r.digest()).and_then(|candidates| {
             let strong = md5(window);
             candidates
                 .iter()
                 .find(|&&i| sig.blocks[i as usize].1 == strong)
                 .copied()
-        },
-        |tail| {
-            (short_tail != 0 && tail.len() == short_tail && sig.blocks[last].1 == md5(tail))
-                .then_some(last as u32)
-        },
-        &mut ops,
-    );
-    Delta { ops }
-}
-
-/// The sender's sliding-window scan from `pos` to the end of `data`,
-/// appending ops. The receiver's side enters only through two lookups:
-/// `find(weak, window)` names a full block whose weak digest is `weak`
-/// and whose content is `window`, and `tail(rest)` names the short final
-/// block if `rest` equals it. With `matchable` false there is no full
-/// block to find, so the window jumps straight to the tail.
-///
-/// [`delta`] scans from zero; [`AppendSync`] resumes at a block boundary.
-/// At every boundary the scan state is (empty literal run, no window), so
-/// resuming there is indistinguishable from having scanned the prefix.
-fn scan(
-    data: &[u8],
-    mut pos: usize,
-    bs: usize,
-    matchable: bool,
-    mut find: impl FnMut(u32, &[u8]) -> Option<u32>,
-    tail: impl FnOnce(&[u8]) -> Option<u32>,
-    ops: &mut Vec<DeltaOp>,
-) {
-    let mut literal_from = pos;
-    let flush = |ops: &mut Vec<DeltaOp>, from: usize, to: usize| {
-        if from < to {
-            ops.push(DeltaOp::Literal(data[from..to].to_vec()));
-        }
-    };
-    if !matchable {
-        pos = pos.max((data.len() + 1).saturating_sub(bs));
-    }
-    let mut roll: Option<Rolling> = None;
-    while pos + bs <= data.len() {
-        let r = roll.get_or_insert_with(|| Rolling::new(&data[pos..pos + bs]));
-        if let Some(index) = find(r.digest(), &data[pos..pos + bs]) {
-            flush(ops, literal_from, pos);
+        });
+        if let Some(index) = found {
+            flush(&mut ops, literal_from, pos);
             ops.push(DeltaOp::Copy { index });
             pos += bs;
             literal_from = pos;
             roll = None;
         } else {
             pos += 1;
-            if pos + bs <= data.len() {
-                r.roll(data[pos - 1], data[pos + bs - 1]);
+            if pos + bs <= new_data.len() {
+                r.roll(new_data[pos - 1], new_data[pos + bs - 1]);
             }
         }
     }
     // Tail: try to match the final short block, else literal.
-    if pos < data.len() {
-        if let Some(index) = tail(&data[pos..]) {
-            flush(ops, literal_from, pos);
-            ops.push(DeltaOp::Copy { index });
-            literal_from = data.len();
-        }
+    let short_tail = sig.total_len % bs;
+    let tail = &new_data[pos..];
+    let last = sig.blocks.len().wrapping_sub(1);
+    if short_tail != 0 && tail.len() == short_tail && sig.blocks[last].1 == md5(tail) {
+        flush(&mut ops, literal_from, pos);
+        ops.push(DeltaOp::Copy { index: last as u32 });
+        literal_from = new_data.len();
     }
-    flush(ops, literal_from, data.len());
+    flush(&mut ops, literal_from, new_data.len());
+    Delta { ops }
 }
 
 /// Errors from [`apply`].
@@ -272,125 +249,6 @@ pub fn sync(old_data: &[u8], new_data: &[u8], block_size: usize) -> (Vec<u8>, De
     let rebuilt = apply(old_data, block_size, &d).unwrap_or_else(|_| new_data.to_vec());
     debug_assert_eq!(rebuilt, new_data);
     (rebuilt, d)
-}
-
-/// The receiver's side of rsync for an append-only file, kept between
-/// rounds without a copy of the bytes.
-///
-/// [`sync`] re-signs the old file and scans the new one from zero on every
-/// call. The collector's logs only grow, so the receiver's copy is always
-/// a prefix of the sender's file and need not be stored at all: the log
-/// itself holds it. `AppendSync` keeps only the synced length and an index
-/// of the full synced blocks — each block's weak digest, sorted, behind a
-/// 256-bit tag set (rsync's own quick reject), and each block's MD5,
-/// computed on the block's first weak hit and then kept.
-///
-/// [`AppendSync::sync_from`] yields a delta equivalent to [`sync`]'s: in a
-/// grown log every full synced block matches itself, so the stock scan
-/// emits one copy per block and reaches the first unsynced boundary with an
-/// empty literal run; from there both run the same `scan`. Literal bytes,
-/// copy counts and the file [`apply`] rebuilds are what the stock path
-/// yields (a copy may name a different block with the same content).
-#[derive(Debug)]
-pub struct AppendSync {
-    block_size: usize,
-    len: usize,
-    /// `(weak digest, block index)` of every full synced block, sorted.
-    weak: Vec<(u32, u32)>,
-    /// One bit per [`tag`] of a digest in `weak`: a clear bit rejects a
-    /// window without a search.
-    tags: [u64; 4],
-    /// MD5 of each full synced block, once a weak hit has needed it.
-    strong: Vec<Option<[u8; 16]>>,
-}
-
-impl AppendSync {
-    /// Nothing synced yet, with the given block size.
-    ///
-    /// # Panics
-    /// Panics if `block_size == 0`.
-    pub fn new(block_size: usize) -> AppendSync {
-        assert!(block_size > 0, "block size must be positive");
-        AppendSync {
-            block_size,
-            len: 0,
-            weak: Vec::new(),
-            tags: [0; 4],
-            strong: Vec::new(),
-        }
-    }
-
-    /// Bytes of the log synced so far: the receiver's copy is
-    /// `&log[..self.synced_len()]`.
-    pub fn synced_len(&self) -> usize {
-        self.len
-    }
-
-    /// Bring the receiver up to `log`, returning the delta rsync would
-    /// have shipped.
-    ///
-    /// # Panics
-    /// Panics if `log` is shorter than the synced length: the file must
-    /// only ever have grown since the last call.
-    pub fn sync_from(&mut self, log: &[u8]) -> Delta {
-        assert!(
-            log.len() >= self.len,
-            "append-only log shrank from {} to {} bytes",
-            self.len,
-            log.len()
-        );
-        let bs = self.block_size;
-        let full = self.len / bs;
-        let boundary = full * bs;
-        let old_tail = &log[boundary..self.len];
-        let mut ops: Vec<DeltaOp> = (0..full as u32)
-            .map(|index| DeltaOp::Copy { index })
-            .collect();
-        scan(
-            log,
-            boundary,
-            bs,
-            full > 0,
-            |digest, window| {
-                let (word, bit) = tag(digest);
-                if self.tags[word] & bit == 0 {
-                    return None;
-                }
-                let first = self.weak.partition_point(|&(w, _)| w < digest);
-                let mut window_md5 = None;
-                self.weak[first..]
-                    .iter()
-                    .take_while(|&&(w, _)| w == digest)
-                    .map(|&(_, block)| block)
-                    .find(|&block| {
-                        let b = block as usize;
-                        let known =
-                            self.strong[b].get_or_insert_with(|| md5(&log[b * bs..(b + 1) * bs]));
-                        *known == *window_md5.get_or_insert_with(|| md5(window))
-                    })
-            },
-            |tail| (!old_tail.is_empty() && tail == old_tail).then_some(full as u32),
-            &mut ops,
-        );
-        for block in full..log.len() / bs {
-            let digest = Rolling::new(&log[block * bs..(block + 1) * bs]).digest();
-            let entry = (digest, block as u32);
-            let at = self.weak.partition_point(|&e| e < entry);
-            self.weak.insert(at, entry);
-            let (word, bit) = tag(digest);
-            self.tags[word] |= bit;
-            self.strong.push(None);
-        }
-        self.len = log.len();
-        Delta { ops }
-    }
-}
-
-/// A weak digest's slot in [`AppendSync`]'s 256-bit tag set: its two
-/// 16-bit halves folded to one byte, as (word, bit mask).
-fn tag(digest: u32) -> (usize, u64) {
-    let t = (digest ^ digest >> 16) as u8;
-    (usize::from(t >> 6), 1 << (t & 63))
 }
 
 #[cfg(test)]
@@ -495,69 +353,6 @@ mod tests {
             "prefix insert should stay local: {}",
             d.literal_bytes()
         );
-    }
-
-    #[test]
-    fn append_sync_matches_stock_sync_across_append_histories() {
-        // Drive the append index and the stock per-round sync through the
-        // same file history; deltas must agree and rebuild the file.
-        // Growth sizes cross block boundaries, land exactly on them, and
-        // include a same-size round (which the collector normally skips,
-        // but equivalence must hold regardless).
-        let bs = 64;
-        let mut appended = AppendSync::new(bs);
-        let mut plain: Vec<u8> = Vec::new();
-        let mut file: Vec<u8> = Vec::new();
-        let growths = [10usize, 54, 64, 1, 500, 0, 63, 128, 7];
-        for (round, g) in growths.iter().enumerate() {
-            let line: Vec<u8> = (0..*g).map(|i| ((round * 37 + i) % 251) as u8).collect();
-            file.extend_from_slice(&line);
-            let (rebuilt, d_plain) = sync(&plain, &file, bs);
-            let d_append = appended.sync_from(&file);
-            assert_eq!(
-                d_append.literal_bytes(),
-                d_plain.literal_bytes(),
-                "round {round}: literal bytes diverge"
-            );
-            assert_eq!(
-                d_append.copy_count(),
-                d_plain.copy_count(),
-                "round {round}: copy counts diverge"
-            );
-            assert_eq!(
-                apply(&plain, bs, &d_append).as_deref(),
-                Ok(&file[..]),
-                "round {round}: mirror diverges"
-            );
-            assert_eq!(appended.synced_len(), file.len());
-            plain = rebuilt;
-        }
-    }
-
-    #[test]
-    fn append_sync_append_ships_only_the_tail() {
-        let bs = 512;
-        let mut appended = AppendSync::new(bs);
-        let old = b"line-one\nline-two\nline-three\n".repeat(60);
-        appended.sync_from(&old);
-        let mut new = old.clone();
-        new.extend_from_slice(b"2010-03-07 04:40 host15 wrong-hash\n");
-        let d = appended.sync_from(&new);
-        assert!(
-            d.literal_bytes() < 2 * bs,
-            "append should ship ≲ 2 blocks, got {}",
-            d.literal_bytes()
-        );
-        assert_eq!(apply(&old, bs, &d).as_deref(), Ok(&new[..]));
-        assert_eq!(appended.synced_len(), new.len());
-    }
-
-    #[test]
-    #[should_panic(expected = "append-only log shrank")]
-    fn append_sync_rejects_a_shrunken_log() {
-        let mut appended = AppendSync::new(8);
-        appended.sync_from(b"two lines\nof log\n");
-        appended.sync_from(b"two lines\n");
     }
 
     #[test]

@@ -46,8 +46,6 @@ pub struct ServerThermalParams {
     pub cpu_rth_k_w: f64,
     /// CPU + heatsink capacity, J/K.
     pub cpu_capacity_j_k: f64,
-    /// Disk temperature offset above case air, K.
-    pub hdd_offset_k: f64,
 }
 
 impl ServerThermalParams {
@@ -58,7 +56,6 @@ impl ServerThermalParams {
             case_capacity_j_k: 4_000.0,
             cpu_rth_k_w: 0.35,
             cpu_capacity_j_k: 450.0,
-            hdd_offset_k: 4.0,
         }
     }
 
@@ -70,7 +67,6 @@ impl ServerThermalParams {
             case_capacity_j_k: 2_000.0,
             cpu_rth_k_w: 0.50,
             cpu_capacity_j_k: 350.0,
-            hdd_offset_k: 7.0,
         }
     }
 
@@ -81,7 +77,6 @@ impl ServerThermalParams {
             case_capacity_j_k: 8_000.0,
             cpu_rth_k_w: 0.25,
             cpu_capacity_j_k: 600.0,
-            hdd_offset_k: 5.0,
         }
     }
 }
@@ -102,7 +97,6 @@ pub struct CaseBank {
     gsum_cpu: Vec<f64>,
     c_case: Vec<f64>,
     c_cpu: Vec<f64>,
-    hdd_offset_k: Vec<f64>,
     // Integrator constants cached for the last-seen `dt` (NaN = stale).
     n_sub: Vec<u32>,
     k_case: Vec<f64>,
@@ -143,7 +137,6 @@ impl CaseBank {
         self.gsum_cpu.push(0.0 + g);
         self.c_case.push(params.case_capacity_j_k);
         self.c_cpu.push(params.cpu_capacity_j_k);
-        self.hdd_offset_k.push(params.hdd_offset_k);
         self.n_sub.push(0);
         self.k_case.push(0.0);
         self.k_cpu.push(0.0);
@@ -221,11 +214,6 @@ impl CaseBank {
     pub fn case_temp_c(&self, i: usize) -> f64 {
         self.t_case[i]
     }
-
-    /// Disk surface temperature of host `i` (case air + drive offset), °C.
-    pub fn hdd_temp_c(&self, i: usize) -> f64 {
-        self.t_case[i] + self.hdd_offset_k[i]
-    }
 }
 
 #[cfg(test)]
@@ -241,7 +229,6 @@ mod tests {
         case: NodeId,
         cpu: NodeId,
         intake: BoundaryId,
-        hdd_offset_k: f64,
     }
 
     impl RcCase {
@@ -257,7 +244,6 @@ mod tests {
                 case,
                 cpu,
                 intake,
-                hdd_offset_k: params.hdd_offset_k,
             }
         }
 
@@ -275,10 +261,6 @@ mod tests {
 
         fn cpu_temp_c(&self) -> f64 {
             self.net.temp(self.cpu)
-        }
-
-        fn hdd_temp_c(&self) -> f64 {
-            self.case_temp_c() + self.hdd_offset_k
         }
     }
 
@@ -333,7 +315,6 @@ mod tests {
                     bank.case_temp_c(i).to_bits(),
                     "case diverged at step {step} host {i}"
                 );
-                assert_eq!(net.hdd_temp_c().to_bits(), bank.hdd_temp_c(i).to_bits());
             }
         }
     }
@@ -452,7 +433,6 @@ mod tests {
         settle(&mut s, 10.0, 80.0, 250.0);
         assert!(s.case_temp_c(0) > 10.0);
         assert!(s.cpu_temp_c(0) > s.case_temp_c(0));
-        assert!(s.hdd_temp_c(0) > s.case_temp_c(0));
     }
 
     #[test]

@@ -114,11 +114,6 @@ impl RcNetwork {
         self.nodes[n.0].temp_c
     }
 
-    /// Force a node's temperature (e.g. initialization after a power cycle).
-    pub fn set_temp(&mut self, n: NodeId, temp_c: f64) {
-        self.nodes[n.0].temp_c = temp_c;
-    }
-
     /// Smallest node time constant C/ΣG — used for sub-step sizing.
     fn min_time_constant(&self) -> f64 {
         let mut gsum = vec![0.0f64; self.nodes.len()];

@@ -10,9 +10,14 @@ use frostlab::compress::md5::md5;
 use frostlab::compress::mtf::{mtf_decode, mtf_encode};
 use frostlab::compress::recover::recover;
 use frostlab::compress::rle::{rle_decode, rle_encode};
+use frostlab::netsim::collector::{
+    log_delta, CollectOutcome, Collector, MonitoredHost, MAX_LINE, RSYNC_BLOCK,
+};
 use frostlab::netsim::rsyncp;
 use frostlab::simkern::rng::Rng;
+use frostlab::simkern::time::{SimDuration, SimTime};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -85,39 +90,54 @@ proptest! {
     }
 
     #[test]
-    fn append_sync_matches_stock_sync(
-        block in 1usize..65,
-        appends in proptest::collection::vec((0u8..4, 0usize..160, any::<u64>()), 1..24),
+    fn log_delta_matches_stock_sync(
+        rounds in proptest::collection::vec(
+            (0u8..8, 0u8..4, proptest::collection::vec((0usize..3, 0usize..235, 1i64..5), 0..8)),
+            1..32,
+        ),
     ) {
-        // A log that only grows, over a three-letter alphabet so weak
-        // digests collide. Some appends repeat an earlier full block or an
-        // earlier byte range, so the index's match path fires; some add
-        // nothing (a same-size round).
-        let mut log: Vec<u8> = Vec::new();
-        let mut synced: Vec<u8> = Vec::new();
-        let mut index = rsyncp::AppendSync::new(block);
-        for (kind, len, seed) in appends {
-            let mut rng = Rng::new(seed);
-            let grown: Vec<u8> = match kind {
-                0 => (0..len).map(|_| b"abc"[rng.below(3) as usize]).collect(),
-                1 if log.len() >= block => {
-                    let b = rng.below((log.len() / block) as u64) as usize;
-                    log[b * block..(b + 1) * block].to_vec()
+        // A host logs stamped lines of at most MAX_LINE bytes, rotating to
+        // a new daily file now and then; the collector's rounds sometimes
+        // find nothing new and sometimes cannot reach the host. In every
+        // round that ships a file, the closed form must equal stock rsync
+        // of the collector's copy against the host's whole file, and the
+        // collector must report the sum.
+        let mut rng = Rng::new(7);
+        let mut collector = Collector::new(&mut rng);
+        let mut host = MonitoredHost::new(1, &mut rng, vec![collector.key.public]);
+        // The bytes the host's counted store stands for, and the synced copy.
+        let mut logs: BTreeMap<String, (Vec<u8>, Vec<u8>)> = BTreeMap::new();
+        let mut t = SimTime::from_secs(0);
+        let mut file = String::from("log-0");
+        for (round, (rotate, reach, lines)) in rounds.into_iter().enumerate() {
+            if rotate == 0 {
+                file = format!("log-{round}");
+                t += SimDuration::secs(86_400);
+            }
+            for (kind, len, step) in lines {
+                t += SimDuration::secs(step);
+                let line = stamped_line(t, kind, len);
+                host.append(&file, &line);
+                logs.entry(file.clone()).or_default().0.extend_from_slice(line.as_bytes());
+            }
+            let reachable = reach != 0;
+            let (mut files_updated, mut literal_bytes) = (0, 0);
+            let grown = logs.values_mut().filter(|(log, synced)| log.len() != synced.len());
+            for (log, synced) in grown {
+                let (_, stock) = rsyncp::sync(synced, log, RSYNC_BLOCK);
+                let closed = log_delta(synced.len(), log.len());
+                prop_assert_eq!(closed.literal_bytes, stock.literal_bytes());
+                prop_assert_eq!(closed.copies, stock.copy_count());
+                if reachable {
+                    files_updated += 1;
+                    literal_bytes += closed.literal_bytes;
+                    *synced = log.clone();
                 }
-                2 if !log.is_empty() => {
-                    let start = rng.below(log.len() as u64) as usize;
-                    log[start..(start + len).min(log.len())].to_vec()
-                }
-                _ => Vec::new(),
-            };
-            log.extend_from_slice(&grown);
-            let (_, stock) = rsyncp::sync(&synced, &log, block);
-            let delta = index.sync_from(&log);
-            prop_assert_eq!(delta.literal_bytes(), stock.literal_bytes());
-            prop_assert_eq!(delta.copy_count(), stock.copy_count());
-            prop_assert_eq!(rsyncp::apply(&synced, block, &delta).expect("own blocks"), log.clone());
-            prop_assert_eq!(index.synced_len(), log.len());
-            synced = log.clone();
+            }
+            let outcome = collector.collect(&mut host, reachable, t);
+            if reachable {
+                prop_assert_eq!(outcome, CollectOutcome::Success { files_updated, literal_bytes });
+            }
         }
     }
 
@@ -248,6 +268,44 @@ proptest! {
         // And within one bit per symbol of optimal.
         prop_assert!((bits as f64) <= entropy_bits + n + 1.0);
     }
+}
+
+/// A log line as the campaign hosts write them: the stamp, a space, and a
+/// `len`-byte payload cut from one of three repeating templates (an md5sums
+/// tail, a sensor reading, and stamp-like digits and dashes with no `:`, so
+/// no payload can hold a stamp).
+fn stamped_line(t: SimTime, kind: usize, len: usize) -> String {
+    let template = [
+        "0cc175b9c0f1b6a831c399e269772661 run",
+        " cpu=-3.5 rh=80",
+        "-2010-03-07 04-40-00",
+    ][kind];
+    let payload: String = template.chars().cycle().take(len).collect();
+    let line = format!("{} {payload}\n", t.datetime());
+    assert!(line.len() <= MAX_LINE);
+    line
+}
+
+#[test]
+fn log_delta_needs_stamped_lines() {
+    // The same growth with its stamps stripped: repeated lines let stock
+    // rsync match the appended bytes against synced blocks, so it ships
+    // fewer literals than the closed form claims.
+    let old = "x".repeat(63) + "\n";
+    let old = old.repeat(32);
+    let new = old.repeat(2);
+    let (_, stock) = rsyncp::sync(old.as_bytes(), new.as_bytes(), RSYNC_BLOCK);
+    let closed = log_delta(old.len(), new.len());
+    assert_eq!((stock.literal_bytes(), stock.copy_count()), (0, 8));
+    assert_eq!((closed.literal_bytes, closed.copies), (2048, 4));
+
+    // With stamps, the same line lengths satisfy the closed form.
+    let line = |i: i64| stamped_line(SimTime::from_secs(i), 0, 43);
+    let old: String = (0..32).map(line).collect();
+    let new: String = (0..64).map(line).collect();
+    assert_eq!((old.len(), new.len()), (2048, 4096));
+    let (_, stock) = rsyncp::sync(old.as_bytes(), new.as_bytes(), RSYNC_BLOCK);
+    assert_eq!((stock.literal_bytes(), stock.copy_count()), (2048, 4));
 }
 
 // ---------------------------------------------------------------------------

@@ -386,7 +386,7 @@ impl TickPhase for ScriptPhase {
 /// phase-owned and reused, so the hot loop performs zero heap allocations
 /// per tick and formats the tick's date-time once, not once per line.
 ///
-/// Every log line is still formatted in full, because a sensor line's
+/// Every log line is formatted in full, because a sensor line's
 /// length depends on its numbers, but the host store keeps only its length.
 #[derive(Debug)]
 pub struct HostStepPhase {

@@ -6,26 +6,6 @@
 //! archive if they differ. We implement it from the RFC so the workload's
 //! verification step is the real computation the hosts performed.
 
-/// Per-round shift amounts.
-const S: [u32; 64] = [
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, //
-    5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, //
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, //
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
-];
-
-/// K[i] = floor(2^32 × |sin(i + 1)|, as fixed constants per the RFC.
-const K: [u32; 64] = [
-    0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a, 0xa8304613, 0xfd469501,
-    0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be, 0x6b901122, 0xfd987193, 0xa679438e, 0x49b40821,
-    0xf61e2562, 0xc040b340, 0x265e5a51, 0xe9b6c7aa, 0xd62f105d, 0x02441453, 0xd8a1e681, 0xe7d3fbc8,
-    0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed, 0xa9e3e905, 0xfcefa3f8, 0x676f02d9, 0x8d2a4c8a,
-    0xfffa3942, 0x8771f681, 0x6d9d6122, 0xfde5380c, 0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70,
-    0x289b7ec6, 0xeaa127fa, 0xd4ef3085, 0x04881d05, 0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665,
-    0xf4292244, 0x432aff97, 0xab9423a7, 0xfc93a039, 0x655b59c3, 0x8f0ccc92, 0xffeff47d, 0x85845dd1,
-    0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1, 0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391,
-];
-
 /// Streaming MD5 state.
 #[derive(Debug, Clone)]
 pub struct Md5 {
@@ -56,69 +36,36 @@ impl Md5 {
             self.buffered += take;
             data = &data[take..];
             if self.buffered == 64 {
-                let block = self.buffer;
-                self.process(&block);
+                process(&mut self.state, &self.buffer);
                 self.buffered = 0;
             }
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.process(&block);
-            data = &data[64..];
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            process(&mut self.state, block.try_into().expect("a 64-byte chunk"));
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffered = data.len();
+        let rest = blocks.remainder();
+        if !rest.is_empty() {
+            self.buffer[..rest.len()].copy_from_slice(rest);
+            self.buffered = rest.len();
         }
-    }
-
-    fn process(&mut self, block: &[u8; 64]) {
-        let mut m = [0u32; 16];
-        for (i, w) in m.iter_mut().enumerate() {
-            *w = u32::from_le_bytes([
-                block[4 * i],
-                block[4 * i + 1],
-                block[4 * i + 2],
-                block[4 * i + 3],
-            ]);
-        }
-        let [mut a, mut b, mut c, mut d] = self.state;
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let tmp = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(
-                a.wrapping_add(f)
-                    .wrapping_add(K[i])
-                    .wrapping_add(m[g])
-                    .rotate_left(S[i]),
-            );
-            a = tmp;
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
     }
 
     /// Finish and return the 16-byte digest.
     pub fn finalize(mut self) -> [u8; 16] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros up to 56 mod 64, then the bit length. When
+        // the 0x80 leaves no room for the length, the zeros fill this block
+        // and the next.
+        let block = &mut self.buffer;
+        block[self.buffered] = 0x80;
+        block[self.buffered + 1..].fill(0);
+        if self.buffered >= 56 {
+            process(&mut self.state, block);
+            block.fill(0);
         }
-        // Length goes straight into the buffer tail.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_le_bytes());
-        let block = self.buffer;
-        self.process(&block);
+        block[56..].copy_from_slice(&bit_len.to_le_bytes());
+        process(&mut self.state, block);
         let mut out = [0u8; 16];
         for (i, w) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&w.to_le_bytes());
@@ -136,6 +83,106 @@ impl Md5 {
 impl Default for Md5 {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Fold one 64-byte block into the state: the RFC's four rounds of
+/// sixteen steps, unrolled with each step's shift, message word and
+/// constant spelled out.
+fn process(state: &mut [u32; 4], block: &[u8; 64]) {
+    let mut m = [0u32; 16];
+    for (w, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
+        *w = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    }
+    let [mut a, mut b, mut c, mut d] = *state;
+    // One step: a = b + ((a + f(b, c, d) + m[g] + k) <<< s). The sum
+    // adds f last, so the other terms need not wait on the previous step.
+    macro_rules! step {
+        ($f:expr, $a:ident, $b:ident, $c:ident, $d:ident, $g:expr, $k:expr, $s:expr) => {
+            $a = $b.wrapping_add(
+                $a.wrapping_add($k)
+                    .wrapping_add(m[$g])
+                    .wrapping_add($f($b, $c, $d))
+                    .rotate_left($s),
+            );
+        };
+    }
+    // The round functions, written so the fewest operations wait on x.
+    let f = |x: u32, y: u32, z: u32| ((y ^ z) & x) ^ z;
+    let g = |x: u32, y: u32, z: u32| (x & z) | (y & !z);
+    let h = |x: u32, y: u32, z: u32| x ^ (y ^ z);
+    let i = |x: u32, y: u32, z: u32| y ^ (x | !z);
+
+    step!(f, a, b, c, d, 0, 0xd76aa478, 7);
+    step!(f, d, a, b, c, 1, 0xe8c7b756, 12);
+    step!(f, c, d, a, b, 2, 0x242070db, 17);
+    step!(f, b, c, d, a, 3, 0xc1bdceee, 22);
+    step!(f, a, b, c, d, 4, 0xf57c0faf, 7);
+    step!(f, d, a, b, c, 5, 0x4787c62a, 12);
+    step!(f, c, d, a, b, 6, 0xa8304613, 17);
+    step!(f, b, c, d, a, 7, 0xfd469501, 22);
+    step!(f, a, b, c, d, 8, 0x698098d8, 7);
+    step!(f, d, a, b, c, 9, 0x8b44f7af, 12);
+    step!(f, c, d, a, b, 10, 0xffff5bb1, 17);
+    step!(f, b, c, d, a, 11, 0x895cd7be, 22);
+    step!(f, a, b, c, d, 12, 0x6b901122, 7);
+    step!(f, d, a, b, c, 13, 0xfd987193, 12);
+    step!(f, c, d, a, b, 14, 0xa679438e, 17);
+    step!(f, b, c, d, a, 15, 0x49b40821, 22);
+
+    step!(g, a, b, c, d, 1, 0xf61e2562, 5);
+    step!(g, d, a, b, c, 6, 0xc040b340, 9);
+    step!(g, c, d, a, b, 11, 0x265e5a51, 14);
+    step!(g, b, c, d, a, 0, 0xe9b6c7aa, 20);
+    step!(g, a, b, c, d, 5, 0xd62f105d, 5);
+    step!(g, d, a, b, c, 10, 0x02441453, 9);
+    step!(g, c, d, a, b, 15, 0xd8a1e681, 14);
+    step!(g, b, c, d, a, 4, 0xe7d3fbc8, 20);
+    step!(g, a, b, c, d, 9, 0x21e1cde6, 5);
+    step!(g, d, a, b, c, 14, 0xc33707d6, 9);
+    step!(g, c, d, a, b, 3, 0xf4d50d87, 14);
+    step!(g, b, c, d, a, 8, 0x455a14ed, 20);
+    step!(g, a, b, c, d, 13, 0xa9e3e905, 5);
+    step!(g, d, a, b, c, 2, 0xfcefa3f8, 9);
+    step!(g, c, d, a, b, 7, 0x676f02d9, 14);
+    step!(g, b, c, d, a, 12, 0x8d2a4c8a, 20);
+
+    step!(h, a, b, c, d, 5, 0xfffa3942, 4);
+    step!(h, d, a, b, c, 8, 0x8771f681, 11);
+    step!(h, c, d, a, b, 11, 0x6d9d6122, 16);
+    step!(h, b, c, d, a, 14, 0xfde5380c, 23);
+    step!(h, a, b, c, d, 1, 0xa4beea44, 4);
+    step!(h, d, a, b, c, 4, 0x4bdecfa9, 11);
+    step!(h, c, d, a, b, 7, 0xf6bb4b60, 16);
+    step!(h, b, c, d, a, 10, 0xbebfbc70, 23);
+    step!(h, a, b, c, d, 13, 0x289b7ec6, 4);
+    step!(h, d, a, b, c, 0, 0xeaa127fa, 11);
+    step!(h, c, d, a, b, 3, 0xd4ef3085, 16);
+    step!(h, b, c, d, a, 6, 0x04881d05, 23);
+    step!(h, a, b, c, d, 9, 0xd9d4d039, 4);
+    step!(h, d, a, b, c, 12, 0xe6db99e5, 11);
+    step!(h, c, d, a, b, 15, 0x1fa27cf8, 16);
+    step!(h, b, c, d, a, 2, 0xc4ac5665, 23);
+
+    step!(i, a, b, c, d, 0, 0xf4292244, 6);
+    step!(i, d, a, b, c, 7, 0x432aff97, 10);
+    step!(i, c, d, a, b, 14, 0xab9423a7, 15);
+    step!(i, b, c, d, a, 5, 0xfc93a039, 21);
+    step!(i, a, b, c, d, 12, 0x655b59c3, 6);
+    step!(i, d, a, b, c, 3, 0x8f0ccc92, 10);
+    step!(i, c, d, a, b, 10, 0xffeff47d, 15);
+    step!(i, b, c, d, a, 1, 0x85845dd1, 21);
+    step!(i, a, b, c, d, 8, 0x6fa87e4f, 6);
+    step!(i, d, a, b, c, 15, 0xfe2ce6e0, 10);
+    step!(i, c, d, a, b, 6, 0xa3014314, 15);
+    step!(i, b, c, d, a, 13, 0x4e0811a1, 21);
+    step!(i, a, b, c, d, 4, 0xf7537e82, 6);
+    step!(i, d, a, b, c, 11, 0xbd3af235, 10);
+    step!(i, c, d, a, b, 2, 0x2ad7d2bb, 15);
+    step!(i, b, c, d, a, 9, 0xeb86d391, 21);
+
+    for (s, v) in state.iter_mut().zip([a, b, c, d]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -218,6 +265,45 @@ mod tests {
             h.update(&data[..n / 2]);
             h.update(&data[n / 2..]);
             assert_eq!(h.finalize(), digest, "length {n}");
+        }
+    }
+
+    /// `n` bytes of a fixed pattern: `(31·i + 7) mod 251`.
+    fn pattern(n: usize) -> Vec<u8> {
+        (0..n).map(|i| ((31 * i + 7) % 251) as u8).collect()
+    }
+
+    #[test]
+    fn padding_boundary_digests() {
+        // Python's hashlib.md5 over the same pattern bytes.
+        let cases = [
+            (0, "d41d8cd98f00b204e9800998ecf8427e"),
+            (55, "d39f7454bbe034082797e66c125a31ad"),
+            (56, "8e9dbcce67719f0304ad52c59ff3d743"),
+            (63, "19a31d9b1afbd6867266fd6cf4c8821f"),
+            (64, "8d9cfa334d4e690843fa68e59c798b84"),
+            (65, "72d8b171f7f46898ee558ad1a86fb907"),
+            (119, "ae6c390e7155118a1660c98861bc0d69"),
+            (120, "b4a4ce125f8932c19665e554892473c4"),
+            (128, "8ce39ed43121181a0846c282c5ce287a"),
+        ];
+        for (n, want) in cases {
+            assert_eq!(md5_hex(&pattern(n)), want, "length {n}");
+        }
+    }
+
+    #[test]
+    fn streaming_equals_oneshot_at_every_length_and_chunk_size() {
+        let data = pattern(200);
+        for n in 0..=200 {
+            let want = md5(&data[..n]);
+            for chunk_size in 1..=65 {
+                let mut h = Md5::new();
+                for chunk in data[..n].chunks(chunk_size) {
+                    h.update(chunk);
+                }
+                assert_eq!(h.finalize(), want, "length {n}, chunk size {chunk_size}");
+            }
         }
     }
 

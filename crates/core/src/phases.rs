@@ -35,6 +35,7 @@ use crate::context::{daily_log, next_monday_morning, CampaignCtx};
 use crate::fleet::switch_assignment;
 use crate::results::StoredArchive;
 use crate::scripted::{paper_script, ScriptedEvent};
+use crate::watchdog::Subject;
 
 /// One substrate step of the per-tick pipeline.
 ///
@@ -677,11 +678,12 @@ impl TickPhase for CollectionPhase {
                 // Staleness check: alarm only when nothing else (an open
                 // switch or host incident) already explains the gap.
                 let id = ctx.fleet.plans[idx].id;
-                let explained = ctx.watchdog.is_open(&format!("host-{id}"))
-                    || (ctx.fleet.placement[idx] == Placement::Tent
-                        && ctx
-                            .watchdog
-                            .is_open(&format!("switch-{}", switch_assignment(id))));
+                let host = Subject::new("host-", id, "");
+                let explained = ctx.watchdog.is_open(host.as_str())
+                    || (ctx.fleet.placement[idx] == Placement::Tent && {
+                        let switch = Subject::new("switch-", switch_assignment(id) as u32, "");
+                        ctx.watchdog.is_open(switch.as_str())
+                    });
                 let staleness = ctx.collector.staleness(id, t);
                 ctx.watchdog.observe_staleness(id, staleness, explained, t);
             }

@@ -103,6 +103,49 @@ impl From<&Incident> for IncidentRecord {
     }
 }
 
+/// A subject name built on the stack: a prefix, a decimal number and a
+/// suffix (`host-15/collection`). The per-round checks (is a host or its
+/// switch explained, does a fresh mirror resolve an alarm) look a subject
+/// up without allocating it or running the formatting machinery; only an
+/// incident that opens copies it into a `String`.
+pub(crate) struct Subject {
+    buf: [u8; 32],
+    len: usize,
+}
+
+impl Subject {
+    /// `prefix`, then `n` in decimal, then `suffix`. Panics past 32 bytes.
+    pub(crate) fn new(prefix: &str, n: u32, suffix: &str) -> Subject {
+        let mut digits = [0u8; 10];
+        let mut start = digits.len();
+        let mut rest = n;
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        let mut subject = Subject {
+            buf: [0; 32],
+            len: 0,
+        };
+        for part in [prefix.as_bytes(), &digits[start..], suffix.as_bytes()] {
+            let end = subject.len + part.len();
+            assert!(end <= subject.buf.len(), "a subject fits in 32 bytes");
+            subject.buf[subject.len..end].copy_from_slice(part);
+            subject.len = end;
+        }
+        subject
+    }
+
+    /// The subject's text.
+    pub(crate) fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len]).expect("built from whole strs and digits")
+    }
+}
+
 /// Watches the campaign and keeps the incident ledger.
 #[derive(Debug)]
 pub struct Watchdog {
@@ -177,12 +220,12 @@ impl Watchdog {
         explained: bool,
         now: SimTime,
     ) {
-        let subject = format!("host-{host}/collection");
+        let subject = Subject::new("host-", host, "/collection");
         let stale = staleness.is_some_and(|s| s > self.staleness_threshold);
         if stale && !explained {
-            self.open(IncidentKind::CollectionStale, &subject, now);
+            self.open(IncidentKind::CollectionStale, subject.as_str(), now);
         } else if !stale {
-            self.resolve(&subject, now, "mirror caught up");
+            self.resolve(subject.as_str(), now, "mirror caught up");
         }
     }
 
@@ -336,6 +379,30 @@ mod tests {
             w.incidents()[1].resolution.as_deref(),
             Some("second recovery")
         );
+    }
+
+    #[test]
+    fn subject_spells_what_format_does() {
+        let mut n = 1u32;
+        for _ in 0..40 {
+            for m in [n - 1, n, n.wrapping_mul(7).wrapping_add(3), u32::MAX] {
+                assert_eq!(
+                    Subject::new("host-", m, "/collection").as_str(),
+                    format!("host-{m}/collection")
+                );
+                assert_eq!(
+                    Subject::new("switch-", m, "").as_str(),
+                    format!("switch-{m}")
+                );
+            }
+            n = n.saturating_mul(3);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a subject fits in 32 bytes")]
+    fn subject_longer_than_its_buffer_panics() {
+        Subject::new("host-", u32::MAX, "/collection/and-more");
     }
 
     #[test]

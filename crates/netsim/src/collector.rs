@@ -79,13 +79,19 @@ struct LogFile {
 
 /// A monitored host's log store plus its SSH acceptor.
 ///
-/// The store counts bytes: each file is its length and its synced length.
-/// The logs only grow, and [`MonitoredHost::append`] is the only writer.
+/// The store counts bytes: each file is its length and its synced length,
+/// in a slot table indexed by name. The logs only grow, and
+/// [`MonitoredHost::append`] is the only writer, so it also lists the
+/// slots that grew since the last sync: a round visits those, not every
+/// file the host has ever written.
 #[derive(Debug, Clone)]
 pub struct MonitoredHost {
     /// Paper host number.
     pub id: u32,
-    files: BTreeMap<String, LogFile>,
+    slots: BTreeMap<String, usize>,
+    files: Vec<LogFile>,
+    /// Slots with `len != synced`, each once, in first-append order.
+    grown: Vec<usize>,
     acceptor: Acceptor,
 }
 
@@ -95,7 +101,9 @@ impl MonitoredHost {
     pub fn new(id: u32, rng: &mut Rng, authorized: Vec<u64>) -> Self {
         MonitoredHost {
             id,
-            files: BTreeMap::new(),
+            slots: BTreeMap::new(),
+            files: Vec::new(),
+            grown: Vec::new(),
             acceptor: Acceptor::new(rng, authorized),
         }
     }
@@ -109,26 +117,44 @@ impl MonitoredHost {
         );
         // Look up before inserting: the common case is an existing file,
         // and `entry` would allocate a key String on every append.
-        if let Some(log) = self.files.get_mut(file) {
-            log.len += line.len();
-        } else {
-            let log = LogFile {
-                len: line.len(),
-                synced: 0,
-            };
-            self.files.insert(file.to_string(), log);
+        let slot = match self.slots.get(file) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.files.len();
+                self.files.push(LogFile { len: 0, synced: 0 });
+                self.slots.insert(file.to_string(), slot);
+                slot
+            }
+        };
+        let log = &mut self.files[slot];
+        if log.len == log.synced {
+            self.grown.push(slot);
         }
+        log.len += line.len();
     }
 
     /// Bytes logged to a file so far.
     pub fn log_len(&self, file: &str) -> Option<usize> {
-        self.files.get(file).map(|log| log.len)
+        self.slots.get(file).map(|&slot| self.files[slot].len)
     }
 
     /// Bytes of a file the collector has synced: its mirror is the file's
     /// first `synced_len` bytes.
     pub fn synced_len(&self, file: &str) -> Option<usize> {
-        self.files.get(file).map(|log| log.synced)
+        self.slots.get(file).map(|&slot| self.files[slot].synced)
+    }
+
+    /// Sync every file that grew since the last sync: the number of files
+    /// and the literal bytes rsync ships for them.
+    fn sync_grown(&mut self) -> (usize, usize) {
+        let files_updated = self.grown.len();
+        let mut literal_bytes = 0usize;
+        for slot in self.grown.drain(..) {
+            let log = &mut self.files[slot];
+            literal_bytes += log_delta(log.synced, log.len).literal_bytes;
+            log.synced = log.len;
+        }
+        (files_updated, literal_bytes)
     }
 }
 
@@ -372,16 +398,11 @@ impl Collector {
         } else {
             match handshake(&self.key, &mut host.acceptor) {
                 HandshakeResult::Accepted => {
-                    let mut files_updated = 0usize;
-                    let mut literal_bytes = 0usize;
-                    // rsync's quick check: skip files whose size matches
+                    // rsync's quick check skips files whose size matches
                     // the mirror (the hosts' logs are append-only, so a
-                    // same-size file is an unchanged file).
-                    for log in host.files.values_mut().filter(|f| f.synced != f.len) {
-                        literal_bytes += log_delta(log.synced, log.len).literal_bytes;
-                        log.synced = log.len;
-                        files_updated += 1;
-                    }
+                    // same-size file is an unchanged file); the host's
+                    // list of grown files is exactly the rest.
+                    let (files_updated, literal_bytes) = host.sync_grown();
                     CollectOutcome::Success {
                         files_updated,
                         literal_bytes,
@@ -710,6 +731,71 @@ mod tests {
         c.collect(&mut h, true, SimTime::from_secs(3600));
         assert!((c.availability() - 0.5).abs() < 1e-12);
         assert_eq!(c.history().len(), 5);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn grown_list_equals_a_full_scan(
+            rounds in proptest::collection::vec(
+                (
+                    0u8..4,
+                    proptest::collection::vec((0usize..2, 0u32..3, 1usize..MAX_LINE + 1), 0..6),
+                    proptest::prelude::any::<bool>(),
+                    proptest::prelude::any::<bool>(),
+                    1i64..1800,
+                ),
+                1..48,
+            ),
+        ) {
+            // A host appends lines to today's two daily files (and now and
+            // then to an earlier day's), the day rolls over now and then,
+            // and rounds are scheduled or catch-up retries, reachable or
+            // not. Every round must ship what rsync's quick check over
+            // every file finds: the oracle below keeps each file's two
+            // lengths and scans them all.
+            let (mut c, mut h) = setup();
+            let mut oracle: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+            let (mut day, mut t) = (0u32, SimTime::from_secs(0));
+            for (roll, appends, reachable, retry, dt) in rounds {
+                if roll == 0 {
+                    day += 1;
+                }
+                for (kind, days_back, len) in appends {
+                    let name = ["sensors", "md5sums"][kind];
+                    let file = format!("{name}-{}.log", day.saturating_sub(days_back));
+                    let line = format!("{}\n", "x".repeat(len - 1));
+                    h.append(&file, &line);
+                    oracle.entry(file).or_default().0 += len;
+                }
+                t += SimDuration::secs(dt);
+                let out = if retry {
+                    c.retry_collect(&mut h, reachable, t)
+                } else {
+                    c.collect(&mut h, reachable, t)
+                };
+                if reachable {
+                    let (mut files_updated, mut literal_bytes) = (0, 0);
+                    for (len, synced) in oracle.values_mut().filter(|(len, synced)| synced != len) {
+                        literal_bytes += log_delta(*synced, *len).literal_bytes;
+                        *synced = *len;
+                        files_updated += 1;
+                    }
+                    proptest::prop_assert_eq!(
+                        out,
+                        CollectOutcome::Success { files_updated, literal_bytes }
+                    );
+                } else {
+                    let unreachable = matches!(out, CollectOutcome::Unreachable { .. });
+                    proptest::prop_assert!(unreachable, "{:?}", out);
+                }
+                for (file, &(len, synced)) in &oracle {
+                    proptest::prop_assert_eq!(h.log_len(file), Some(len));
+                    proptest::prop_assert_eq!(h.synced_len(file), Some(synced));
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,12 +15,15 @@
 //!   the reference the collector's closed form is tested against;
 //! * [`auth`] — a toy Diffie–Hellman-flavoured handshake modelling the
 //!   OpenSSH public-key session setup (NOT cryptography; a protocol-flow
-//!   model, clearly labelled);
+//!   model, clearly labelled). Every attempt exchanges a fresh nonce and a
+//!   verified proof; each key derives its shared secret with a given peer
+//!   once and reuses it;
 //! * [`collector`] — the 20-minute collection round: authenticate, then
 //!   account what rsync ships for each grown log. The logs are stamped and
 //!   append-only, so a round's transfer follows from two lengths per file
 //!   ([`collector::log_delta`]): hosts keep a byte count per daily file,
-//!   not the bytes.
+//!   not the bytes, and a list of the files appended to since the last
+//!   sync, which is all a round visits.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -66,8 +66,9 @@ impl JobConfig {
 /// Outcome of one pack-verify run.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
-    /// The md5 of this run's tarball (hex).
-    pub hash: String,
+    /// The md5 of this run's tarball (hex). A clean run shares the golden
+    /// hash rather than copying it.
+    pub hash: Arc<str>,
     /// Did it match the golden value?
     pub hash_ok: bool,
     /// The compressed archive — kept only when the hash differed
@@ -91,7 +92,7 @@ pub struct JobTemplate {
     config: JobConfig,
     tar_bytes: Arc<Vec<u8>>,
     clean_compressed: Arc<Vec<u8>>,
-    golden_hash: String,
+    golden_hash: Arc<str>,
 }
 
 impl JobTemplate {
@@ -111,7 +112,7 @@ impl JobTemplate {
             config,
             tar_bytes: Arc::new(tar_bytes),
             clean_compressed: Arc::new(clean_compressed),
-            golden_hash,
+            golden_hash: golden_hash.into(),
         }
     }
 }
@@ -122,7 +123,7 @@ impl JobTemplate {
 pub struct JobRunner {
     config: JobConfig,
     tar_bytes: Arc<Vec<u8>>,
-    golden_hash: String,
+    golden_hash: Arc<str>,
     /// Cached clean compressed archive (shared with the template and every
     /// other runner). The pipeline is deterministic, so a fault-free run
     /// reproduces these bytes exactly; caching them lets a three-month
@@ -147,7 +148,7 @@ impl JobRunner {
         JobRunner {
             corrupt_rng: host_seed_rng.derive("job-corruption"),
             clean_compressed: Arc::clone(&template.clean_compressed),
-            golden_hash: template.golden_hash.clone(),
+            golden_hash: Arc::clone(&template.golden_hash),
             // The real run took a couple of minutes of mostly-CPU work on
             // 2000s hardware; model 150 s ± nothing (determinism).
             duration_secs: 150.0,
@@ -190,7 +191,7 @@ impl JobRunner {
                 stored_archive: None,
                 page_ops: self.config.page_ops_per_run(),
                 duration_secs: self.duration_secs,
-                hash: self.golden_hash.clone(),
+                hash: Arc::clone(&self.golden_hash),
             };
         }
         // The pipeline is deterministic: recompressing `tar_bytes` always
@@ -206,7 +207,7 @@ impl JobRunner {
             let bit = self.corrupt_rng.below(8) as u8;
             packed[byte] ^= 1 << bit;
         }
-        let hash = md5_hex(&packed);
+        let hash: Arc<str> = md5_hex(&packed).into();
         let hash_ok = hash == self.golden_hash;
         RunOutcome {
             hash_ok,
@@ -242,8 +243,16 @@ mod tests {
             let o = r.run(0);
             assert!(o.hash_ok, "clean run must match golden");
             assert!(o.stored_archive.is_none());
-            assert_eq!(o.hash, r.golden_hash());
+            assert_eq!(&*o.hash, r.golden_hash());
         }
+    }
+
+    #[test]
+    fn clean_runs_share_the_golden_hash() {
+        let mut r = runner(3);
+        let (a, b) = (r.run(0), r.run(0));
+        assert!(Arc::ptr_eq(&a.hash, &b.hash), "no copy per clean run");
+        assert_eq!(a.hash.as_ptr(), r.golden_hash().as_ptr());
     }
 
     #[test]
@@ -252,7 +261,7 @@ mod tests {
         let o = r.run(1);
         assert!(!o.hash_ok);
         assert!(o.stored_archive.is_some());
-        assert_ne!(o.hash, r.golden_hash());
+        assert_ne!(&*o.hash, r.golden_hash());
     }
 
     #[test]

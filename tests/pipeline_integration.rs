@@ -21,7 +21,7 @@ fn forensic_chain_job_to_recover() {
     for _ in 0..100 {
         let o = job.run(0);
         assert!(o.hash_ok);
-        assert_eq!(o.hash, golden);
+        assert_eq!(&*o.hash, golden);
     }
 
     // One corrupted run: wrong hash, stored archive, ≤ 1 bad block.
@@ -30,7 +30,7 @@ fn forensic_chain_job_to_recover() {
     let archive = o.stored_archive.expect("stored on mismatch");
     assert_eq!(
         md5_hex(&archive),
-        o.hash,
+        *o.hash,
         "stored bytes hash to the reported value"
     );
     let report = recover(&archive);

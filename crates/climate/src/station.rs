@@ -75,16 +75,6 @@ impl WeatherStation {
         }
     }
 
-    /// The station's configuration.
-    pub fn config(&self) -> &StationConfig {
-        &self.config
-    }
-
-    /// Time of the next scheduled observation.
-    pub fn next_due(&self) -> SimTime {
-        self.next_due
-    }
-
     /// Take one observation of `truth` (does not advance the schedule —
     /// useful for ad-hoc reads).
     pub fn observe(&mut self, truth: &WeatherSample) -> WeatherObservation {

@@ -9,6 +9,18 @@ use frostlab_workload::job::JobConfig;
 
 use crate::fleet::FleetSpec;
 
+/// The simulation tick. Every campaign steps on this grid, and its start
+/// must lie on it.
+pub const TICK: SimDuration = SimDuration::minutes(1);
+/// [`TICK`] in seconds.
+pub const TICK_SECS: f64 = TICK.as_secs() as f64;
+/// [`TICK`] in hours.
+pub const TICK_HOURS: f64 = TICK_SECS / 3600.0;
+/// Interval between fault-model polls.
+pub const FAULT_POLL_INTERVAL: SimDuration = SimDuration::minutes(5);
+/// Sensor-log append cadence (bounds log sizes).
+pub const SENSOR_LOG_INTERVAL: SimDuration = SimDuration::minutes(20);
+
 /// How faults enter the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultMode {
@@ -27,12 +39,11 @@ pub struct ExperimentConfig {
     /// Fault mode.
     pub fault_mode: FaultMode,
     /// Campaign start (the paper's normal phase began Feb 19; the weather
-    /// and station trace start earlier for context in Fig. 3).
+    /// and station trace start earlier for context in Fig. 3). Must lie on
+    /// the [`TICK`] grid.
     pub start: SimTime,
     /// Campaign end ("three months" from the first install ⇒ mid-May).
     pub end: SimTime,
-    /// Simulation tick.
-    pub tick: SimDuration,
     /// Climate parameters (Helsinki by default; swap for what-if studies).
     pub climate: ClimateParams,
     /// Tent physical parameters.
@@ -41,12 +52,8 @@ pub struct ExperimentConfig {
     pub job: JobConfig,
     /// Collection cadence (paper: 20 minutes).
     pub collection_interval: SimDuration,
-    /// Interval between fault-model polls.
-    pub fault_poll_interval: SimDuration,
     /// When the Lascar logger finally arrives on site (it was late).
     pub lascar_deployed_at: SimTime,
-    /// Sensor-log append cadence (bounds log sizes).
-    pub sensor_log_interval: SimDuration,
     /// Ablation: pretend every DIMM in the fleet is ECC (the what-if the
     /// paper's §4.2.2 implies — ECC would have corrected all five flips).
     pub force_ecc: bool,
@@ -66,14 +73,11 @@ impl ExperimentConfig {
             fault_mode: FaultMode::Scripted,
             start: SimTime::from_date(2010, 2, 12),
             end: SimTime::from_date(2010, 5, 13),
-            tick: SimDuration::minutes(1),
             climate: presets::helsinki_winter_2010(),
             tent: TentParams::default(),
             job: JobConfig::default(),
             collection_interval: SimDuration::minutes(20),
-            fault_poll_interval: SimDuration::minutes(5),
             lascar_deployed_at: SimTime::from_date(2010, 3, 5),
-            sensor_log_interval: SimDuration::minutes(20),
             force_ecc: false,
             chaos: None,
             fleet: FleetSpec::Paper,

@@ -7,15 +7,15 @@
 //! that ends up in [`ExperimentResults`]. Phases receive `&mut CampaignCtx`
 //! and communicate with each other exclusively through it: the weather
 //! phase writes [`CampaignCtx::weather`], the enclosure phase writes
-//! [`CampaignCtx::tent_state`] and [`CampaignCtx::tent_power_w`], the power
-//! phase integrates what the enclosure phase computed, and so on.
+//! [`CampaignCtx::tent_zone_states`] and [`CampaignCtx::tent_power_w`], the
+//! power phase integrates what the enclosure phase computed, and so on.
 //!
 //! Per-host state lives in [`FleetState`] — struct-of-arrays columns the
 //! host-step phase walks in bulk. The paper's fleet shares one tent and
 //! one basement; generated fleets spread over many nine-host *zones*, each
-//! with its own enclosure RC network ([`CampaignCtx::extra_tents`] /
-//! [`CampaignCtx::extra_basements`]), so the thermal model stays physical
-//! at 10,000 hosts. Zone 0 is always the instrumented primary pair — the
+//! with its own enclosure RC network ([`CampaignCtx::tents`] /
+//! [`CampaignCtx::basements`]), so the thermal model stays physical at
+//! 10,000 hosts. Zone 0 is always the instrumented primary pair — the
 //! Lascar, the truth series and the power meter keep watching it.
 //!
 //! Cross-cutting fault plumbing (hangs, scripted events, chaos events, the
@@ -45,7 +45,7 @@ use frostlab_workload::job::{JobRunner, JobTemplate};
 use frostlab_workload::schedule::LoadSchedule;
 use frostlab_workload::stats::{Placement, WorkloadStats};
 
-use crate::config::{ExperimentConfig, FaultMode};
+use crate::config::{ExperimentConfig, FaultMode, TICK};
 use crate::fleet::{switch_assignment, FleetBuilder, SwitchFailoverPolicy};
 use crate::fleet_state::{spec_for, FleetState};
 use crate::results::{ExperimentResults, HostSummary, StoredArchive};
@@ -70,10 +70,6 @@ pub struct CampaignCtx {
     pub cfg: ExperimentConfig,
     /// The clock: the tick currently being simulated.
     pub now: SimTime,
-    /// Tick length, seconds.
-    pub dt_secs: f64,
-    /// Tick length, hours.
-    pub dt_hours: f64,
     /// RNG lane root. [`Rng::derive`] new labelled streams from it; adding
     /// a consumer never perturbs existing streams.
     pub root: Rng,
@@ -83,29 +79,20 @@ pub struct CampaignCtx {
     pub station: WeatherStation,
     /// Current-tick weather sample (written by the weather phase).
     pub weather: WeatherSample,
-    /// The tent on the roof terrace (zone 0, the instrumented one).
-    pub tent: Tent,
-    /// The basement control-group enclosure (zone 0).
-    pub basement: Basement,
-    /// Additional tent zones (generated fleets; empty for the paper).
-    pub extra_tents: Vec<Tent>,
-    /// Additional basement rooms (generated fleets; empty for the paper).
-    pub extra_basements: Vec<Basement>,
-    /// Tent air state this tick (written by the enclosure phase).
-    pub tent_state: EnclosureState,
-    /// Basement air state this tick (written by the enclosure phase).
-    pub basement_state: EnclosureState,
-    /// Per-zone tent air states; index 0 mirrors [`CampaignCtx::tent_state`].
+    /// One tent per tent zone; zone 0 is the instrumented tent on the
+    /// roof terrace (the paper's fleet has no other).
+    pub tents: Vec<Tent>,
+    /// One basement room per basement zone; zone 0 is the control group's.
+    pub basements: Vec<Basement>,
+    /// Per-zone tent air states this tick (written by the enclosure phase).
     pub tent_zone_states: Vec<EnclosureState>,
-    /// Per-zone basement air states; index 0 mirrors
-    /// [`CampaignCtx::basement_state`].
+    /// Per-zone basement air states this tick (written by the enclosure
+    /// phase).
     pub basement_zone_states: Vec<EnclosureState>,
     /// Zone-0 tent-group wall power this tick, W (written by the enclosure
     /// phase from the *previous* tick's per-host draw, read by the power
     /// phase — the meter hangs off the instrumented tent's feed).
     pub tent_power_w: f64,
-    /// Zone-0 basement-group wall power this tick, W.
-    pub basement_power_w: f64,
     /// The Lascar USB logger in the tent.
     pub lascar: LascarLogger,
     /// The Technoline wall-power meter on the tent feed.
@@ -160,7 +147,17 @@ impl CampaignCtx {
     /// Construction order (and every `derive` label) is part of the
     /// determinism contract: the golden-hash tests pin the resulting
     /// streams, so keep it stable.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.start` is off the [`TICK`] grid.
     pub fn new(cfg: ExperimentConfig) -> CampaignCtx {
+        assert!(
+            cfg.start.as_secs() % TICK.as_secs() == 0,
+            "campaign start {} is off the {}-s tick grid",
+            cfg.start.datetime(),
+            TICK.as_secs()
+        );
         let root = Rng::new(cfg.seed);
         let mut wx = WeatherModel::new(cfg.climate.clone(), cfg.seed);
         // Tabulate the deterministic weather skeleton for the campaign
@@ -175,7 +172,6 @@ impl CampaignCtx {
             solar_w_m2: 0.0,
             cloud: 0.7,
         };
-        let tent = Tent::new(cfg.tent.clone(), TentConfig::initial(), &boot_weather);
         let injector = FaultInjector::new(&root);
         let template = JobTemplate::build(cfg.job.clone());
         let mut collector_rng = root.derive("collector");
@@ -223,10 +219,9 @@ impl CampaignCtx {
             _ => None,
         };
 
-        let basement = Basement::new();
-        // Zone enclosures beyond the primary pair. `Tent::new` and
-        // `Basement::new` draw no randomness, so building them here is
-        // RNG-neutral; the paper fleet (all zone 0) builds none.
+        // One enclosure per zone. `Tent::new` and `Basement::new` draw no
+        // randomness, so building them here is RNG-neutral; the paper fleet
+        // (all zone 0) builds one of each.
         let (mut tent_zones, mut basement_zones) = (1usize, 1usize);
         for (i, p) in fleet.plans.iter().enumerate() {
             let z = fleet.zone[i] as usize + 1;
@@ -235,34 +230,23 @@ impl CampaignCtx {
                 Placement::Basement => basement_zones = basement_zones.max(z),
             }
         }
-        let extra_tents: Vec<Tent> = (1..tent_zones)
+        let tents: Vec<Tent> = (0..tent_zones)
             .map(|_| Tent::new(cfg.tent.clone(), TentConfig::initial(), &boot_weather))
             .collect();
-        let extra_basements: Vec<Basement> = (1..basement_zones).map(|_| Basement::new()).collect();
-
-        let tent_state = tent.state();
-        let basement_state = basement.state();
-        let tent_zone_states = vec![tent_state; tent_zones];
-        let basement_zone_states = vec![basement_state; basement_zones];
-        let dt_secs = cfg.tick.as_secs() as f64;
+        let basements: Vec<Basement> = (0..basement_zones).map(|_| Basement::new()).collect();
+        let tent_zone_states = tents.iter().map(Enclosure::state).collect();
+        let basement_zone_states = basements.iter().map(Enclosure::state).collect();
         CampaignCtx {
             now: cfg.start,
-            dt_secs,
-            dt_hours: dt_secs / 3600.0,
             root,
             station,
             wx,
             weather: boot_weather,
-            tent,
-            basement,
-            extra_tents,
-            extra_basements,
-            tent_state,
-            basement_state,
+            tents,
+            basements,
             tent_zone_states,
             basement_zone_states,
             tent_power_w: 0.0,
-            basement_power_w: 0.0,
             lascar,
             meter,
             collector,
@@ -327,10 +311,9 @@ impl CampaignCtx {
     pub fn handle_scripted(&mut self, at: SimTime, ev: ScriptedEvent) {
         match ev {
             ScriptedEvent::TentReconfig { config, .. } => {
-                self.tent.set_config(config);
                 // Operators reconfigure every tent the same way — zone 0's
                 // airflow mods applied fleet-wide.
-                for tent in &mut self.extra_tents {
+                for tent in &mut self.tents {
                     tent.set_config(config);
                 }
             }
@@ -550,14 +533,6 @@ impl CampaignCtx {
     }
 }
 
-/// Daily-rotated log-file name, e.g. `md5sums-0307.log` — the hosts rotate
-/// their logs at midnight so each collection round only has to rsync the
-/// current day's small files.
-pub(crate) fn daily_log(prefix: &str, t: SimTime) -> String {
-    let d = t.date();
-    format!("{prefix}-{:02}{:02}.log", d.month, d.day)
-}
-
 /// The next Monday at 10:00 at or after `t` (staff-visit cadence).
 pub(crate) fn next_monday_morning(t: SimTime) -> SimTime {
     let mut date = t.date();
@@ -597,22 +572,15 @@ mod tests {
     }
 
     #[test]
-    fn daily_log_rotates_by_date() {
-        let t = SimTime::from_ymd_hms(2010, 3, 7, 4, 40, 0);
-        assert_eq!(daily_log("md5sums", t), "md5sums-0307.log");
-        assert_eq!(daily_log("sensors", t), "sensors-0307.log");
-    }
-
-    #[test]
     fn fresh_ctx_matches_config_window() {
         let ctx = CampaignCtx::new(ExperimentConfig::short(1, 3));
         assert_eq!(ctx.now, ctx.cfg.start);
         assert_eq!(ctx.fleet.len(), paper_fleet().len());
         assert!(ctx.switch_up.iter().all(|&up| up));
         assert!(ctx.chaos.is_none(), "scripted mode never builds chaos");
-        // The paper fleet shares one tent and one basement: no extras.
-        assert!(ctx.extra_tents.is_empty());
-        assert!(ctx.extra_basements.is_empty());
+        // The paper fleet shares one tent and one basement.
+        assert_eq!(ctx.tents.len(), 1);
+        assert_eq!(ctx.basements.len(), 1);
         assert_eq!(ctx.tent_zone_states.len(), 1);
         assert_eq!(ctx.basement_zone_states.len(), 1);
     }
@@ -623,10 +591,20 @@ mod tests {
         cfg.fleet = FleetSpec::VendorMix { hosts: 100 };
         let ctx = CampaignCtx::new(cfg);
         assert_eq!(ctx.fleet.len(), 100);
-        // 50 tent hosts over 9-host zones ⇒ 6 zones, 5 of them extra.
+        // 50 tent hosts over 9-host zones ⇒ 6 zones.
         assert_eq!(ctx.tent_zone_states.len(), 6);
-        assert_eq!(ctx.extra_tents.len(), 5);
+        assert_eq!(ctx.tents.len(), 6);
         assert_eq!(ctx.basement_zone_states.len(), 6);
-        assert_eq!(ctx.extra_basements.len(), 5);
+        assert_eq!(ctx.basements.len(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "off the 60-s tick grid")]
+    fn start_off_the_tick_grid_is_rejected() {
+        let cfg = ExperimentConfig::short(1, 1);
+        CampaignCtx::new(ExperimentConfig {
+            start: cfg.start + SimDuration::secs(30),
+            ..cfg
+        });
     }
 }

@@ -85,11 +85,11 @@ impl TraceCursors {
 
         // Environment and fleet gauges, at the tick boundary.
         ctx.tracer
-            .gauge_set("tent.temp_c", ctx.tent_state.air_temp_c);
+            .gauge_set("tent.temp_c", ctx.tent_zone_states[0].air_temp_c);
         ctx.tracer
-            .gauge_set("tent.rh_pct", ctx.tent_state.air_rh_pct);
+            .gauge_set("tent.rh_pct", ctx.tent_zone_states[0].air_rh_pct);
         ctx.tracer
-            .gauge_set("basement.temp_c", ctx.basement_state.air_temp_c);
+            .gauge_set("basement.temp_c", ctx.basement_zone_states[0].air_temp_c);
         ctx.tracer.gauge_set("outside.temp_c", ctx.weather.temp_c);
         ctx.tracer.gauge_set("tent.power_w", ctx.tent_power_w);
         ctx.tracer
@@ -100,7 +100,7 @@ impl TraceCursors {
         ctx.tracer
             .gauge_set("workload.archives_stored", ctx.stored_archives.len() as f64);
         ctx.tracer
-            .observe("tent.temp_c_dist", ctx.tent_state.air_temp_c);
+            .observe("tent.temp_c_dist", ctx.tent_zone_states[0].air_temp_c);
         ctx.tracer.observe("tent.power_w_dist", ctx.tent_power_w);
 
         // Workload counters, by delta against the stats accumulator.
@@ -468,7 +468,7 @@ fn dew_margin_min_c(ctx: &CampaignCtx) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ExperimentConfig;
+    use crate::config::{ExperimentConfig, TICK};
     use frostlab_obs::{ObsConfig, ObsState};
     use frostlab_simkern::time::SimDuration;
     use frostlab_trace::{TraceConfig, Tracer};
@@ -485,7 +485,7 @@ mod tests {
         let trace = ctx.tracer.finish().expect("enabled");
         assert_eq!(
             trace.metrics.gauge("tent.temp_c"),
-            Some(ctx.tent_state.air_temp_c)
+            Some(ctx.tent_zone_states[0].air_temp_c)
         );
         assert!(trace.metrics.gauge("fleet.hosts_up").is_some());
         assert!(trace.metrics.gauge("collector.gaps_open").is_some());
@@ -505,7 +505,7 @@ mod tests {
     fn observe_phase_builds_rollup_dims_from_the_fleet() {
         let cfg = ExperimentConfig::short(1, 2);
         let mut ctx = CampaignCtx::new(cfg);
-        ctx.obs = Some(Box::new(ObsState::new(&ObsConfig::default(), ctx.cfg.tick)));
+        ctx.obs = Some(Box::new(ObsState::new(&ObsConfig::default(), TICK)));
         let mut phase = ObservePhase::new();
         phase.step(&mut ctx);
         let mut tracer = Tracer::disabled();
@@ -541,7 +541,7 @@ mod tests {
             let mut ctx = CampaignCtx::new(cfg);
             ctx.tracer = Tracer::enabled(TraceConfig::default(), start);
             if observed {
-                ctx.obs = Some(Box::new(ObsState::new(&ObsConfig::default(), ctx.cfg.tick)));
+                ctx.obs = Some(Box::new(ObsState::new(&ObsConfig::default(), TICK)));
             }
             let mut phase = ObservePhase::new();
             for _ in 0..5 {

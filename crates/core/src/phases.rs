@@ -26,12 +26,15 @@ use std::time::Instant;
 
 use frostlab_faults::repair::RepairAction;
 use frostlab_faults::types::{FaultEvent, FaultKind, HostId};
+use frostlab_netsim::collector::Log;
 use frostlab_simkern::time::{SimDuration, SimTime};
 use frostlab_trace::FieldValue;
 use frostlab_workload::stats::Placement;
 
-use crate::config::{ExperimentConfig, FaultMode};
-use crate::context::{daily_log, next_monday_morning, CampaignCtx};
+use crate::config::{
+    ExperimentConfig, FaultMode, FAULT_POLL_INTERVAL, SENSOR_LOG_INTERVAL, TICK_HOURS, TICK_SECS,
+};
+use crate::context::{next_monday_morning, CampaignCtx};
 use crate::fleet::switch_assignment;
 use crate::results::StoredArchive;
 use crate::scripted::{paper_script, ScriptedEvent};
@@ -126,13 +129,14 @@ const WEATHER_BATCH_TICKS: usize = 1440;
 
 /// Step 1: advance the weather model and poll the station.
 ///
-/// When the campaign tick, the campaign start, and the station cadence all
-/// lie on the weather model's 60-s grid (the stock configuration), samples
-/// are served from a day-sized batch produced by
-/// [`WeatherModel::sample_ticks`](frostlab_climate::WeatherModel::sample_ticks) — bit-identical to per-tick sampling, but
-/// the weather working set is traversed once per simulated day instead of
-/// being re-faulted from cache on every tick. Unaligned configurations keep
-/// the per-tick path.
+/// The campaign tick is the weather model's 60-s grid, the campaign starts
+/// on it ([`CampaignCtx::new`] checks), and the station polls every 10
+/// minutes from the start, so every instant the model is sampled at lies
+/// on the grid. Samples are served from a day-sized batch produced by
+/// [`WeatherModel::sample_ticks`](frostlab_climate::WeatherModel::sample_ticks)
+/// — bit-identical to per-tick sampling, but the weather working set is
+/// traversed once per simulated day instead of being re-faulted from cache
+/// on every tick.
 #[derive(Debug, Default)]
 pub struct WeatherPhase {
     /// Batched samples; `buf[i]` is the sample at `buf_t0 + i·60 s`.
@@ -155,32 +159,13 @@ impl TickPhase for WeatherPhase {
 
     fn step(&mut self, ctx: &mut CampaignCtx) {
         let t = ctx.now;
-        // The batched path requires every instant the model gets sampled at
-        // to land on its 60-s grid. All three inputs are campaign constants
-        // (the station schedule steps by a fixed interval), so the predicate
-        // is tick-invariant: a campaign is either always batched or never.
-        let aligned = t.as_secs() % 60 == 0
-            && ctx.station.next_due().as_secs() % 60 == 0
-            && ctx.station.config().interval.as_secs() % 60 == 0;
-        let sample = if aligned {
-            let idx = (t.as_secs() - self.buf_t0.as_secs()) / 60;
-            if self.buf.is_empty() || idx < 0 || idx as usize >= self.buf.len() {
-                self.buf = ctx.wx.sample_ticks(t, WEATHER_BATCH_TICKS);
-                self.buf_t0 = t;
-                self.buf[0]
-            } else {
-                self.buf[idx as usize]
-            }
+        let idx = (t.as_secs() - self.buf_t0.as_secs()) / 60;
+        let sample = if self.buf.is_empty() || idx < 0 || idx as usize >= self.buf.len() {
+            self.buf = ctx.wx.sample_ticks(t, WEATHER_BATCH_TICKS);
+            self.buf_t0 = t;
+            self.buf[0]
         } else {
-            // Catch up any observations due strictly before this tick (only
-            // possible with a station cadence unaligned to the tick grid).
-            while ctx.station.next_due() < t {
-                match ctx.station.poll(&mut ctx.wx, t) {
-                    Some(obs) => ctx.outside.push(obs),
-                    None => break,
-                }
-            }
-            ctx.wx.sample_at(t)
+            self.buf[idx as usize]
         };
         // One model sample serves both the tick and, when the 10-minute
         // station cadence lands on this tick, the station observation —
@@ -193,7 +178,7 @@ impl TickPhase for WeatherPhase {
 }
 
 /// Step 2: step every tent and basement zone, driven by the previous
-/// tick's per-host wall power. Publishes zone 0's power draw for the
+/// tick's per-host wall power. Publishes zone 0's tent power draw for the
 /// power-integration phase — the meter sees the same watts that heated
 /// the instrumented tent.
 ///
@@ -239,23 +224,15 @@ impl TickPhase for EnclosureThermalPhase {
                 Placement::Basement => self.basement_power[z] += fleet.last_wall_w[i],
             }
         }
-        ctx.tent.step(ctx.dt_secs, &ctx.weather, self.tent_power[0]);
-        ctx.basement
-            .step(ctx.dt_secs, &ctx.weather, self.basement_power[0]);
-        ctx.tent_state = ctx.tent.state();
-        ctx.basement_state = ctx.basement.state();
-        ctx.tent_zone_states[0] = ctx.tent_state;
-        ctx.basement_zone_states[0] = ctx.basement_state;
-        for (k, tent) in ctx.extra_tents.iter_mut().enumerate() {
-            tent.step(ctx.dt_secs, &ctx.weather, self.tent_power[k + 1]);
-            ctx.tent_zone_states[k + 1] = tent.state();
+        for (z, tent) in ctx.tents.iter_mut().enumerate() {
+            tent.step(TICK_SECS, &ctx.weather, self.tent_power[z]);
+            ctx.tent_zone_states[z] = tent.state();
         }
-        for (k, room) in ctx.extra_basements.iter_mut().enumerate() {
-            room.step(ctx.dt_secs, &ctx.weather, self.basement_power[k + 1]);
-            ctx.basement_zone_states[k + 1] = room.state();
+        for (z, room) in ctx.basements.iter_mut().enumerate() {
+            room.step(TICK_SECS, &ctx.weather, self.basement_power[z]);
+            ctx.basement_zone_states[z] = room.state();
         }
         ctx.tent_power_w = self.tent_power[0];
-        ctx.basement_power_w = self.basement_power[0];
     }
 }
 
@@ -286,17 +263,17 @@ impl TickPhase for LoggerPollPhase {
 
     fn step(&mut self, ctx: &mut CampaignCtx) {
         let t = ctx.now;
+        let (tent, basement) = (ctx.tent_zone_states[0], ctx.basement_zone_states[0]);
         if t >= self.next_readout {
             ctx.lascar.begin_readout(t, SimDuration::minutes(30));
             self.next_readout = t + SimDuration::days(7);
         }
-        ctx.lascar
-            .poll(t, ctx.tent_state.air_temp_c, ctx.tent_state.air_rh_pct);
+        ctx.lascar.poll(t, tent.air_temp_c, tent.air_rh_pct);
 
         if t >= self.next_truth_sample {
-            ctx.tent_temp_truth.push(t, ctx.tent_state.air_temp_c);
-            ctx.tent_rh_truth.push(t, ctx.tent_state.air_rh_pct);
-            ctx.basement_temp.push(t, ctx.basement_state.air_temp_c);
+            ctx.tent_temp_truth.push(t, tent.air_temp_c);
+            ctx.tent_rh_truth.push(t, tent.air_rh_pct);
+            ctx.basement_temp.push(t, basement.air_temp_c);
             self.next_truth_sample = t + SimDuration::minutes(10);
         }
     }
@@ -383,12 +360,13 @@ impl TickPhase for ScriptPhase {
 /// [`crate::fleet_state::FleetState`] once into disjoint column borrows and
 /// walks the flat arrays — O(hosts) per tick, no indexed re-borrow per
 /// field access. All scratch (the deferred hang/withdrawal lists, the log
-/// line buffer, the tick's timestamp, the day-cached log file names) is
-/// phase-owned and reused, so the hot loop performs zero heap allocations
-/// per tick and formats the tick's date-time once, not once per line.
+/// line buffer, the tick's timestamp) is phase-owned and reused, so the
+/// hot loop performs zero heap allocations per tick and formats the tick's
+/// date-time once, not once per line.
 ///
 /// Every log line is formatted in full, because a sensor line's
-/// length depends on its numbers, but the host store keeps only its length.
+/// length depends on its numbers, but the host store keeps only its length,
+/// in the file of the tick's day.
 #[derive(Debug)]
 pub struct HostStepPhase {
     next_fault_poll: SimTime,
@@ -396,26 +374,20 @@ pub struct HostStepPhase {
     withdrawals: Vec<usize>,
     line_buf: String,
     stamp: String,
-    sensors_log: String,
-    md5sums_log: String,
-    log_day: (u32, u32),
-    /// Every line appended, as (host index, file, line), for unit tests.
+    /// Every line appended, as (host index, log, line), for unit tests.
     #[cfg(test)]
-    logged: Vec<(usize, String, String)>,
+    logged: Vec<(usize, Log, String)>,
 }
 
 impl HostStepPhase {
     /// Stock host phase scheduled from the campaign config.
     pub fn new(cfg: &ExperimentConfig) -> HostStepPhase {
         HostStepPhase {
-            next_fault_poll: cfg.start + cfg.fault_poll_interval,
+            next_fault_poll: cfg.start + FAULT_POLL_INTERVAL,
             hangs: Vec::new(),
             withdrawals: Vec::new(),
             line_buf: String::new(),
             stamp: String::new(),
-            sensors_log: String::new(),
-            md5sums_log: String::new(),
-            log_day: (0, 0),
             #[cfg(test)]
             logged: Vec::new(),
         }
@@ -430,19 +402,12 @@ impl TickPhase for HostStepPhase {
     fn step(&mut self, ctx: &mut CampaignCtx) {
         use std::fmt::Write as _;
         let t = ctx.now;
-        let dt_secs = ctx.dt_secs;
         let fault_poll_due = t >= self.next_fault_poll;
         let stochastic = ctx.cfg.fault_mode == FaultMode::Stochastic;
-        let sensor_log_interval = ctx.cfg.sensor_log_interval;
-        let poll_hours = ctx.cfg.fault_poll_interval.as_secs() as f64 / 3600.0;
-
-        // Daily-rotated log names, recomputed only when the date rolls.
-        let d = t.date();
-        if self.log_day != (d.month, d.day) {
-            self.log_day = (d.month, d.day);
-            self.sensors_log = daily_log("sensors", t);
-            self.md5sums_log = daily_log("md5sums", t);
-        }
+        let poll_hours = FAULT_POLL_INTERVAL.as_secs() as f64 / 3600.0;
+        // The hosts rotate their logs at midnight: every line this tick
+        // goes to the file of this day.
+        let day = t.date().days_since_epoch();
         // Every log line this tick starts with the same date-time.
         self.stamp.clear();
         let _ = write!(self.stamp, "{}", t.datetime());
@@ -500,7 +465,7 @@ impl TickPhase for HostStepPhase {
             };
             let cpu_w = hw.cpu_power_w(i, util);
             let dc_w = hw.dc_power_w(i, util);
-            thermal.step_one(i, dt_secs, encl.air_temp_c, cpu_w, dc_w);
+            thermal.step_one(i, TICK_SECS, encl.air_temp_c, cpu_w, dc_w);
             cpu_temp_c[i] = thermal.cpu_temp_c(i);
             last_wall_w[i] = hw.wall_power_w(i, util);
             let sensor_reading = hw.sensor_read_cpu_temp(i, cpu_temp_c[i]);
@@ -513,11 +478,10 @@ impl TickPhase for HostStepPhase {
                     Some(v) => writeln!(self.line_buf, " cpu={v:.1} rh={:.0}", encl.air_rh_pct),
                     None => writeln!(self.line_buf, " cpu=n/a rh={:.0}", encl.air_rh_pct),
                 };
-                stores[i].append(&self.sensors_log, &self.line_buf);
+                stores[i].append(Log::Sensors, day, &self.line_buf);
                 #[cfg(test)]
-                self.logged
-                    .push((i, self.sensors_log.clone(), self.line_buf.clone()));
-                next_sensor_log[i] = t + sensor_log_interval;
+                self.logged.push((i, Log::Sensors, self.line_buf.clone()));
+                next_sensor_log[i] = t + SENSOR_LOG_INTERVAL;
             }
 
             // Stochastic faults.
@@ -592,10 +556,9 @@ impl TickPhase for HostStepPhase {
                 self.line_buf.push(' ');
                 self.line_buf.push_str(&outcome.hash);
                 self.line_buf.push_str(" run\n");
-                stores[i].append(&self.md5sums_log, &self.line_buf);
+                stores[i].append(Log::Md5sums, day, &self.line_buf);
                 #[cfg(test)]
-                self.logged
-                    .push((i, self.md5sums_log.clone(), self.line_buf.clone()));
+                self.logged.push((i, Log::Md5sums, self.line_buf.clone()));
                 if !outcome.hash_ok {
                     workload.record_hash_error(plans[i].id, placement[i], t);
                     if let Some(bytes) = outcome.stored_archive {
@@ -636,7 +599,7 @@ impl TickPhase for HostStepPhase {
                 .resolve(&format!("host-{id}"), t, "taken indoors (memtest)");
         }
         if fault_poll_due {
-            self.next_fault_poll = t + ctx.cfg.fault_poll_interval;
+            self.next_fault_poll = t + FAULT_POLL_INTERVAL;
         }
     }
 }
@@ -684,7 +647,7 @@ impl TickPhase for CollectionPhase {
                         let switch = Subject::new("switch-", switch_assignment(id) as u32, "");
                         ctx.watchdog.is_open(switch.as_str())
                     });
-                let staleness = ctx.collector.staleness(id, t);
+                let staleness = ctx.fleet.stores[idx].staleness(t);
                 ctx.watchdog.observe_staleness(id, staleness, explained, t);
             }
             self.next_round = t + ctx.cfg.collection_interval;
@@ -728,15 +691,16 @@ impl TickPhase for PowerIntegrationPhase {
     }
 
     fn step(&mut self, ctx: &mut CampaignCtx) {
-        ctx.energy_true_wh += ctx.tent_power_w * ctx.dt_hours;
-        ctx.meter.integrate(ctx.tent_power_w, ctx.dt_hours);
+        ctx.energy_true_wh += ctx.tent_power_w * TICK_HOURS;
+        ctx.meter.integrate(ctx.tent_power_w, TICK_HOURS);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ExperimentConfig;
+    use crate::config::{ExperimentConfig, TICK};
+    use frostlab_netsim::collector::CollectOutcome;
     use frostlab_thermal::tent::TentConfig;
 
     fn ctx_at(cfg: ExperimentConfig) -> CampaignCtx {
@@ -760,7 +724,6 @@ mod tests {
     fn scripted_event_between_ticks_fires_on_next_tick_with_original_due_time() {
         let cfg = ExperimentConfig::short(1, 3);
         let start = cfg.start;
-        let tick = cfg.tick;
         let mut ctx = ctx_at(cfg);
         // Due 1 s after the first tick: must NOT fire at `start`, must fire
         // at `start + tick`, and the incident keeps the scripted due time,
@@ -771,7 +734,7 @@ mod tests {
         ctx.now = start;
         phase.step(&mut ctx);
         assert!(ctx.switch_up[1], "not due yet");
-        ctx.now = start + tick;
+        ctx.now = start + TICK;
         phase.step(&mut ctx);
         assert!(!ctx.switch_up[1]);
         let incident = ctx
@@ -787,7 +750,6 @@ mod tests {
     fn multiple_due_events_fire_in_script_order_within_one_tick() {
         let cfg = ExperimentConfig::short(1, 3);
         let start = cfg.start;
-        let tick = cfg.tick;
         let mut ctx = ctx_at(cfg);
         // Both come due within one tick window; down-then-restore must
         // leave the switch up (the reverse order would leave it down).
@@ -801,7 +763,7 @@ mod tests {
                 ScriptedEvent::SwitchRestored { switch: 0 },
             ),
         ]);
-        ctx.now = start + tick;
+        ctx.now = start + TICK;
         phase.step(&mut ctx);
         assert!(ctx.switch_up[0], "down then restore, in order");
         assert!(!ctx.watchdog.is_open("switch-0"));
@@ -825,6 +787,12 @@ mod tests {
         phase.step(&mut ctx);
     }
 
+    /// Bytes host `i` has logged to the day's file of each log, indexed
+    /// by [`Log`].
+    fn log_lens(ctx: &CampaignCtx, i: usize, day: i64) -> [usize; 2] {
+        [Log::Sensors, Log::Md5sums].map(|log| ctx.fleet.stores[i].log_len(log, day).unwrap_or(0))
+    }
+
     #[test]
     fn host_step_stamps_every_log_line_with_its_own_tick() {
         // The goldens pin line lengths, not which tick a stamp came from:
@@ -832,54 +800,79 @@ mod tests {
         // host store counted exactly the lines logged.
         let cfg = ExperimentConfig::short(1, 3);
         let mut phase = HostStepPhase::new(&cfg);
-        let tick = cfg.tick;
         let mut ctx = ctx_at(cfg);
         ctx.now = *ctx.fleet.install_at.iter().min().expect("a fleet");
-        let hosts = ctx.fleet.len();
-        let log_len = |ctx: &CampaignCtx, i: usize, name: &str| {
-            ctx.fleet.stores[i].log_len(name).unwrap_or(0)
-        };
         let (mut md5_ticks, mut sensor_ticks) = (Vec::new(), Vec::new());
         for _ in 0..30 {
             let t = ctx.now;
-            let (md5sums, sensors) = (daily_log("md5sums", t), daily_log("sensors", t));
-            let mut grown: Vec<(usize, usize)> = (0..hosts)
-                .map(|i| (log_len(&ctx, i, &md5sums), log_len(&ctx, i, &sensors)))
+            let day = t.date().days_since_epoch();
+            let mut grown: Vec<_> = (0..ctx.fleet.len())
+                .map(|i| log_lens(&ctx, i, day))
                 .collect();
             phase.step(&mut ctx);
             let stamp = t.datetime().to_string();
-            for (i, file, line) in phase.logged.drain(..) {
-                if file == md5sums {
-                    let golden =
-                        format!("{} {} run\n", t.datetime(), ctx.fleet.jobs[i].golden_hash());
-                    assert_eq!(line, golden, "md5sums line of host {i} at {stamp}");
-                    grown[i].0 += line.len();
-                    md5_ticks.push(t);
-                } else {
-                    assert_eq!(file, sensors, "log file of host {i} at {stamp}");
-                    assert!(
-                        line.starts_with(&stamp) && line.ends_with('\n'),
-                        "sensors line of host {i} at {stamp}: {line}"
-                    );
-                    grown[i].1 += line.len();
-                    sensor_ticks.push(t);
+            for (i, log, line) in phase.logged.drain(..) {
+                match log {
+                    Log::Md5sums => {
+                        let golden =
+                            format!("{} {} run\n", t.datetime(), ctx.fleet.jobs[i].golden_hash());
+                        assert_eq!(line, golden, "md5sums line of host {i} at {stamp}");
+                        md5_ticks.push(t);
+                    }
+                    Log::Sensors => {
+                        assert!(
+                            line.starts_with(&stamp) && line.ends_with('\n'),
+                            "sensors line of host {i} at {stamp}: {line}"
+                        );
+                        sensor_ticks.push(t);
+                    }
                 }
+                grown[i][log as usize] += line.len();
             }
-            for (i, &(md5_len, sensor_len)) in grown.iter().enumerate() {
-                assert_eq!(log_len(&ctx, i, &md5sums), md5_len, "md5sums of host {i}");
-                assert_eq!(
-                    log_len(&ctx, i, &sensors),
-                    sensor_len,
-                    "sensors of host {i}"
-                );
+            for (i, &lens) in grown.iter().enumerate() {
+                assert_eq!(log_lens(&ctx, i, day), lens, "logs of host {i}");
             }
-            ctx.now += tick;
+            ctx.now += TICK;
         }
         // Lines came from more than one tick, so a stale stamp would show.
         md5_ticks.dedup();
         sensor_ticks.dedup();
         assert!(md5_ticks.len() >= 2, "md5sums lines at {md5_ticks:?}");
         assert!(sensor_ticks.len() >= 2, "sensors lines at {sensor_ticks:?}");
+    }
+
+    #[test]
+    fn a_year_later_the_same_date_starts_fresh_files() {
+        // File names carry no year (`md5sums-MMDD.log`), but the store
+        // rotates by day number: the files of 2011-02-19 start from zero
+        // instead of reopening those of 2010-02-19, and the round after
+        // ships exactly the 2011 lines.
+        let cfg = ExperimentConfig::short(1, 3);
+        let mut phase = HostStepPhase::new(&cfg);
+        let mut ctx = ctx_at(cfg);
+        for t in [
+            SimTime::from_ymd_hms(2010, 2, 19, 12, 0, 0),
+            SimTime::from_ymd_hms(2011, 2, 19, 12, 0, 0),
+        ] {
+            ctx.now = t;
+            phase.step(&mut ctx);
+            let day = t.date().days_since_epoch();
+            let mut logged = vec![[0, 0]; ctx.fleet.len()];
+            for (i, log, line) in phase.logged.drain(..) {
+                logged[i][log as usize] += line.len();
+            }
+            let mut shipped = 0;
+            for (i, &lens) in logged.iter().enumerate() {
+                assert_eq!(log_lens(&ctx, i, day), lens, "logs of host {i} at {t:?}");
+                let outcome = ctx.collector.collect(&mut ctx.fleet.stores[i], true, t);
+                let CollectOutcome::Success { literal_bytes, .. } = outcome else {
+                    panic!("host {i} at {t:?}: {outcome:?}");
+                };
+                assert_eq!(literal_bytes, lens[0] + lens[1], "host {i} at {t:?}");
+                shipped += literal_bytes;
+            }
+            assert!(shipped > 0, "nothing logged at {t:?}");
+        }
     }
 
     #[test]

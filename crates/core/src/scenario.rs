@@ -27,7 +27,7 @@
 use frostlab_obs::{ObsConfig, ObsState};
 use frostlab_trace::{TraceConfig, Tracer};
 
-use crate::config::ExperimentConfig;
+use crate::config::{ExperimentConfig, TICK};
 use crate::context::CampaignCtx;
 use crate::observe::ObservePhase;
 use crate::phases::{
@@ -195,7 +195,7 @@ impl ScenarioBuilder {
     /// randomness and no wall-clock, so the campaign's physics and every
     /// golden artifact stay byte-identical.
     pub fn with_observability(mut self, cfg: ObsConfig) -> ScenarioBuilder {
-        self.ctx.obs = Some(Box::new(ObsState::new(&cfg, self.ctx.cfg.tick)));
+        self.ctx.obs = Some(Box::new(ObsState::new(&cfg, TICK)));
         self.with_observe_phase()
     }
 
@@ -244,12 +244,11 @@ impl Scenario {
     /// accounting the pipeline collected (empty unless phases were wrapped
     /// in [`TimingProbe`]s, e.g. via [`ScenarioBuilder::with_timing`]).
     pub fn run_with_timings(mut self) -> (ExperimentResults, Vec<PhaseTiming>) {
-        let tick = self.ctx.cfg.tick;
         while self.ctx.now <= self.ctx.cfg.end {
             for phase in &mut self.phases {
                 phase.step(&mut self.ctx);
             }
-            self.ctx.now += tick;
+            self.ctx.now += TICK;
         }
         let timings = self.phases.iter().filter_map(|p| p.timing()).collect();
         (self.ctx.finish(), timings)

@@ -146,22 +146,22 @@ impl Subject {
     }
 }
 
+/// Mirror staleness beyond which a host (with no other open incident
+/// explaining it) gets a [`IncidentKind::CollectionStale`] alarm: three
+/// missed 20-minute rounds.
+pub const STALENESS_THRESHOLD: SimDuration = SimDuration::minutes(60);
+
 /// Watches the campaign and keeps the incident ledger.
 #[derive(Debug)]
 pub struct Watchdog {
-    /// Mirror staleness beyond which a host (with no other open incident
-    /// explaining it) gets a [`IncidentKind::CollectionStale`] alarm.
-    pub staleness_threshold: SimDuration,
     incidents: Vec<Incident>,
     open: BTreeMap<String, usize>,
 }
 
 impl Watchdog {
-    /// New watchdog. The default staleness threshold is three missed
-    /// 20-minute rounds.
+    /// New watchdog with an empty ledger.
     pub fn new() -> Self {
         Watchdog {
-            staleness_threshold: SimDuration::minutes(60),
             incidents: Vec::new(),
             open: BTreeMap::new(),
         }
@@ -210,7 +210,7 @@ impl Watchdog {
 
     /// Feed the per-host staleness observed at a collection round. Opens a
     /// [`IncidentKind::CollectionStale`] incident when a host's mirror ages
-    /// past the threshold *and* nothing else already explains it (an open
+    /// past [`STALENESS_THRESHOLD`] *and* nothing else already explains it (an open
     /// switch or host incident covering this host); resolves the alarm when
     /// the mirror freshens again.
     pub fn observe_staleness(
@@ -221,7 +221,7 @@ impl Watchdog {
         now: SimTime,
     ) {
         let subject = Subject::new("host-", host, "/collection");
-        let stale = staleness.is_some_and(|s| s > self.staleness_threshold);
+        let stale = staleness.is_some_and(|s| s > STALENESS_THRESHOLD);
         if stale && !explained {
             self.open(IncidentKind::CollectionStale, subject.as_str(), now);
         } else if !stale {

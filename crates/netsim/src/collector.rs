@@ -11,15 +11,16 @@
 //! grew since the last round and account the literal bytes that crossed
 //! the wire. The hosts' logs are stamped and append-only, so what rsync
 //! ships depends only on two lengths per file ([`log_delta`]). A host
-//! therefore keeps one length per daily file, not the bytes, and the
-//! collector's mirror of a file is just how much of it has been synced.
+//! therefore keeps today's length and synced length of each of its two
+//! daily [`Log`]s, not the bytes, and the collector's mirror of a file is
+//! just how much of it has been synced.
 //!
 //! When a host cannot be reached (§4.2.1's switch deaths, a hung machine)
 //! the round records an [`CollectOutcome::Unreachable`] outcome carrying the
 //! **gap duration** — how stale that host's mirror has become — and the
 //! collector schedules a *catch-up retry* with exponential backoff and
 //! deterministic jitter drawn from its own derived RNG stream (see
-//! [`RetryPolicy`]). Retries are recorded with [`AttemptKind::Retry`] so the
+//! [`retry_delay`]). Retries are recorded with [`AttemptKind::Retry`] so the
 //! scheduled 20-minute cadence accounting (availability, the paper's
 //! numbers) is unaffected by how aggressively the collector chases a gap.
 //! When contact resumes, the mirror resynchronizes in one round (rsync's
@@ -69,29 +70,44 @@ pub fn log_delta(synced: usize, len: usize) -> LogDelta {
     }
 }
 
-/// One daily log file: the bytes the host has logged to it, and how many
-/// of them the collector has synced.
-#[derive(Debug, Clone)]
-struct LogFile {
+/// The two logs every host rotates daily.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Log {
+    /// The sensor log (`sensors-MMDD.log`).
+    Sensors,
+    /// The workload's md5sum log (`md5sums-MMDD.log`).
+    Md5sums,
+}
+
+/// One day's file of a log: the bytes the host has logged to it, and how
+/// many of them the collector has synced.
+#[derive(Debug, Clone, Copy)]
+struct DailyFile {
+    /// Days since the epoch of the file's date.
+    day: i64,
     len: usize,
     synced: usize,
 }
 
 /// A monitored host's log store plus its SSH acceptor.
 ///
-/// The store counts bytes: each file is its length and its synced length,
-/// in a slot table indexed by name. The logs only grow, and
-/// [`MonitoredHost::append`] is the only writer, so it also lists the
-/// slots that grew since the last sync: a round visits those, not every
-/// file the host has ever written.
+/// The store counts bytes, and only of today's file of each [`Log`]: a
+/// file never grows once its day is over, so what rsync will ship for a
+/// file rotated out unsynced is fixed when it rotates, and the store adds
+/// it to a running count. The record is the same size on day one and on
+/// day 366.
 #[derive(Debug, Clone)]
 pub struct MonitoredHost {
     /// Paper host number.
     pub id: u32,
-    slots: BTreeMap<String, usize>,
-    files: Vec<LogFile>,
-    /// Slots with `len != synced`, each once, in first-append order.
-    grown: Vec<usize>,
+    /// Today's file of each log, indexed by [`Log`].
+    today: [Option<DailyFile>; 2],
+    /// Files rotated out with unsynced bytes since the last sync, and the
+    /// literal bytes rsync will ship for them.
+    rotated: (usize, usize),
+    /// The last successful round, or the first attempt if none succeeded
+    /// yet: the mirror is as fresh as this.
+    fresh_since: Option<SimTime>,
     acceptor: Acceptor,
 }
 
@@ -101,58 +117,70 @@ impl MonitoredHost {
     pub fn new(id: u32, rng: &mut Rng, authorized: Vec<u64>) -> Self {
         MonitoredHost {
             id,
-            slots: BTreeMap::new(),
-            files: Vec::new(),
-            grown: Vec::new(),
+            today: [None; 2],
+            rotated: (0, 0),
+            fresh_since: None,
             acceptor: Acceptor::new(rng, authorized),
         }
     }
 
     /// Append one line, ending in its only `\n` and at most [`MAX_LINE`]
-    /// bytes long, to a log file (md5sum log, sensor log, …).
-    pub fn append(&mut self, file: &str, line: &str) {
+    /// bytes long, to the file of `log` dated `day` (days since the epoch,
+    /// `t.date().days_since_epoch()`). A new day rotates the log.
+    pub fn append(&mut self, log: Log, day: i64, line: &str) {
         debug_assert!(
             line.len() <= MAX_LINE && line.find('\n') == Some(line.len() - 1),
             "not one log line of at most {MAX_LINE} bytes: {line:?}"
         );
-        // Look up before inserting: the common case is an existing file,
-        // and `entry` would allocate a key String on every append.
-        let slot = match self.slots.get(file) {
-            Some(&slot) => slot,
-            None => {
-                let slot = self.files.len();
-                self.files.push(LogFile { len: 0, synced: 0 });
-                self.slots.insert(file.to_string(), slot);
-                slot
+        let file = &mut self.today[log as usize];
+        match file {
+            Some(f) if f.day == day => f.len += line.len(),
+            _ => {
+                debug_assert!(file.is_none_or(|old| day > old.day), "logs rotate forward");
+                if let Some(old) = file.filter(|old| old.len != old.synced) {
+                    self.rotated.0 += 1;
+                    self.rotated.1 += log_delta(old.synced, old.len).literal_bytes;
+                }
+                *file = Some(DailyFile {
+                    day,
+                    len: line.len(),
+                    synced: 0,
+                });
             }
-        };
-        let log = &mut self.files[slot];
-        if log.len == log.synced {
-            self.grown.push(slot);
         }
-        log.len += line.len();
     }
 
-    /// Bytes logged to a file so far.
-    pub fn log_len(&self, file: &str) -> Option<usize> {
-        self.slots.get(file).map(|&slot| self.files[slot].len)
+    /// Bytes logged to the file of `log` dated `day`, while it is today's.
+    pub fn log_len(&self, log: Log, day: i64) -> Option<usize> {
+        self.today[log as usize]
+            .filter(|f| f.day == day)
+            .map(|f| f.len)
     }
 
-    /// Bytes of a file the collector has synced: its mirror is the file's
-    /// first `synced_len` bytes.
-    pub fn synced_len(&self, file: &str) -> Option<usize> {
-        self.slots.get(file).map(|&slot| self.files[slot].synced)
+    /// Bytes of the file of `log` dated `day` the collector has synced,
+    /// while it is today's: its mirror is the file's first `synced_len`
+    /// bytes.
+    pub fn synced_len(&self, log: Log, day: i64) -> Option<usize> {
+        self.today[log as usize]
+            .filter(|f| f.day == day)
+            .map(|f| f.synced)
+    }
+
+    /// How stale this host's mirror is. `None` until the first attempt.
+    pub fn staleness(&self, now: SimTime) -> Option<SimDuration> {
+        self.fresh_since.map(|since| now - since)
     }
 
     /// Sync every file that grew since the last sync: the number of files
     /// and the literal bytes rsync ships for them.
-    fn sync_grown(&mut self) -> (usize, usize) {
-        let files_updated = self.grown.len();
-        let mut literal_bytes = 0usize;
-        for slot in self.grown.drain(..) {
-            let log = &mut self.files[slot];
-            literal_bytes += log_delta(log.synced, log.len).literal_bytes;
-            log.synced = log.len;
+    fn sync(&mut self) -> (usize, usize) {
+        let (mut files_updated, mut literal_bytes) = std::mem::take(&mut self.rotated);
+        for f in self.today.iter_mut().flatten() {
+            if f.len != f.synced {
+                files_updated += 1;
+                literal_bytes += log_delta(f.synced, f.len).literal_bytes;
+                f.synced = f.len;
+            }
         }
         (files_updated, literal_bytes)
     }
@@ -222,41 +250,23 @@ impl CollectionGap {
     }
 }
 
-/// Exponential-backoff retry schedule for catch-up rounds.
-///
-/// After the n-th consecutive failure against a host the next retry is due
-/// in `min(cap, base · 2ⁿ⁻¹)`, jittered by ±`jitter_frac` with draws from a
-/// per-host RNG stream derived from the collector's seed — deterministic
-/// across runs, decorrelated across hosts (no thundering herd when a switch
-/// comes back).
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// First-retry delay.
-    pub base: SimDuration,
-    /// Backoff ceiling (the paper's cadence: there is no point retrying
-    /// less often than the scheduled round).
-    pub cap: SimDuration,
-    /// Jitter as a fraction of the delay (0.25 ⇒ ±25 %).
-    pub jitter_frac: f64,
-}
+/// First catch-up retry delay.
+const RETRY_BASE: SimDuration = SimDuration::minutes(2);
+/// Backoff ceiling (the paper's cadence: there is no point retrying less
+/// often than the scheduled round).
+const RETRY_CAP: SimDuration = SimDuration::minutes(20);
+/// Retry jitter as a fraction of the delay (±25 %).
+const RETRY_JITTER_FRAC: f64 = 0.25;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            base: SimDuration::minutes(2),
-            cap: SimDuration::minutes(20),
-            jitter_frac: 0.25,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Raw (unjittered) delay after `failures` consecutive failures (≥ 1).
-    pub fn delay(&self, failures: u32) -> SimDuration {
-        let shift = failures.saturating_sub(1).min(16);
-        let raw = self.base.as_secs().saturating_mul(1 << shift);
-        SimDuration::secs(raw.min(self.cap.as_secs()))
-    }
+/// Raw (unjittered) catch-up delay after `failures` consecutive failures
+/// (≥ 1): `min(RETRY_CAP, RETRY_BASE · 2ⁿ⁻¹)`. Each delay is jittered by
+/// ±`RETRY_JITTER_FRAC` with draws from a per-host RNG stream derived from
+/// the collector's seed — deterministic across runs, decorrelated across
+/// hosts (no thundering herd when a switch comes back).
+pub fn retry_delay(failures: u32) -> SimDuration {
+    let shift = failures.saturating_sub(1).min(16);
+    let raw = RETRY_BASE.as_secs().saturating_mul(1 << shift);
+    SimDuration::secs(raw.min(RETRY_CAP.as_secs()))
 }
 
 /// Per-host backoff bookkeeping while a gap is open.
@@ -275,17 +285,11 @@ struct RetryState {
 pub struct Collector {
     /// The collector's SSH identity.
     pub key: KeyPair,
-    /// Collection cadence (paper: 20 minutes).
-    pub interval: SimDuration,
-    /// Catch-up retry schedule.
-    pub retry: RetryPolicy,
     history: Vec<CollectRecord>,
     /// Root of the per-host jitter streams (derived, so creating it does not
     /// perturb the caller's RNG draws).
     retry_rng: Rng,
     retries: BTreeMap<u32, RetryState>,
-    last_success: BTreeMap<u32, SimTime>,
-    first_attempt: BTreeMap<u32, SimTime>,
     gaps: Vec<CollectionGap>,
 }
 
@@ -295,13 +299,9 @@ impl Collector {
         let retry_rng = rng.derive("retry");
         Collector {
             key: KeyPair::generate(rng),
-            interval: SimDuration::minutes(20),
-            retry: RetryPolicy::default(),
             history: Vec::new(),
             retry_rng,
             retries: BTreeMap::new(),
-            last_success: BTreeMap::new(),
-            first_attempt: BTreeMap::new(),
             gaps: Vec::new(),
         }
     }
@@ -319,20 +319,6 @@ impl Collector {
     /// The attempt history and the healed outages, moved out.
     pub fn into_history(self) -> (Vec<CollectRecord>, Vec<CollectionGap>) {
         (self.history, self.gaps)
-    }
-
-    /// How stale this host's mirror is. `None` until the first attempt.
-    pub fn staleness(&self, host: u32, now: SimTime) -> Option<SimDuration> {
-        let reference = self
-            .last_success
-            .get(&host)
-            .or_else(|| self.first_attempt.get(&host))?;
-        Some(now - *reference)
-    }
-
-    /// Last successful round against this host.
-    pub fn last_success(&self, host: u32) -> Option<SimTime> {
-        self.last_success.get(&host).copied()
     }
 
     /// When the next catch-up retry is due for this host (if a gap is open).
@@ -391,18 +377,19 @@ impl Collector {
         at: SimTime,
         kind: AttemptKind,
     ) -> CollectOutcome {
-        self.first_attempt.entry(host.id).or_insert(at);
+        let fresh_since = *host.fresh_since.get_or_insert(at);
         let outcome = if !reachable {
-            let gap = self.staleness(host.id, at).unwrap_or(SimDuration::ZERO);
-            CollectOutcome::Unreachable { gap }
+            CollectOutcome::Unreachable {
+                gap: at - fresh_since,
+            }
         } else {
             match handshake(&self.key, &mut host.acceptor) {
                 HandshakeResult::Accepted => {
                     // rsync's quick check skips files whose size matches
                     // the mirror (the hosts' logs are append-only, so a
                     // same-size file is an unchanged file); the host's
-                    // list of grown files is exactly the rest.
-                    let (files_updated, literal_bytes) = host.sync_grown();
+                    // store ships exactly the rest.
+                    let (files_updated, literal_bytes) = host.sync();
                     CollectOutcome::Success {
                         files_updated,
                         literal_bytes,
@@ -414,20 +401,14 @@ impl Collector {
         match &outcome {
             CollectOutcome::Success { .. } => {
                 if let Some(state) = self.retries.remove(&host.id) {
-                    let start = self
-                        .last_success
-                        .get(&host.id)
-                        .or_else(|| self.first_attempt.get(&host.id))
-                        .copied()
-                        .unwrap_or(at);
                     self.gaps.push(CollectionGap {
                         host: host.id,
-                        start,
+                        start: fresh_since,
                         end: at,
                         failed_attempts: state.failures,
                     });
                 }
-                self.last_success.insert(host.id, at);
+                host.fresh_since = Some(at);
             }
             CollectOutcome::Unreachable { .. } | CollectOutcome::AuthFailed(_) => {
                 let retry_root = &self.retry_rng;
@@ -437,8 +418,8 @@ impl Collector {
                     rng: retry_root.derive(&format!("host/{}", host.id)),
                 });
                 state.failures += 1;
-                let delay = self.retry.delay(state.failures).as_secs();
-                let span = (delay as f64 * self.retry.jitter_frac) as i64;
+                let delay = retry_delay(state.failures).as_secs();
+                let span = (delay as f64 * RETRY_JITTER_FRAC) as i64;
                 let jitter = if span > 0 {
                     state.rng.range_i64(-span, span + 1)
                 } else {
@@ -507,7 +488,7 @@ mod tests {
             let len: usize = (0..lines)
                 .map(|i| {
                     let line = md5_line(i);
-                    h.append("md5sums.log", &line);
+                    h.append(Log::Md5sums, 0, &line);
                     line.len()
                 })
                 .sum();
@@ -523,8 +504,8 @@ mod tests {
                 }
                 other => panic!("{other:?}"),
             }
-            assert_eq!(h.synced_len("md5sums.log"), Some(len));
-            assert_eq!(h.log_len("md5sums.log"), Some(len));
+            assert_eq!(h.synced_len(Log::Md5sums, 0), Some(len));
+            assert_eq!(h.log_len(Log::Md5sums, 0), Some(len));
         }
     }
 
@@ -532,7 +513,7 @@ mod tests {
     fn unchanged_files_cost_nothing() {
         let (mut c, mut h) = setup();
         for _ in 0..50 {
-            h.append("sensors.log", "temp=-4.0 rh=35\n");
+            h.append(Log::Sensors, 0, "temp=-4.0 rh=35\n");
         }
         c.collect(&mut h, true, SimTime::from_secs(1200));
         let out = c.collect(&mut h, true, SimTime::from_secs(2400));
@@ -549,12 +530,12 @@ mod tests {
     fn appended_lines_ship_small_deltas() {
         let (mut c, mut h) = setup();
         for i in 0..100 {
-            h.append("md5sums.log", &md5_line(i));
+            h.append(Log::Md5sums, 0, &md5_line(i));
         }
-        let old = h.log_len("md5sums.log").unwrap();
+        let old = h.log_len(Log::Md5sums, 0).unwrap();
         assert!(old > 4096);
         c.collect(&mut h, true, SimTime::from_secs(1200));
-        h.append("md5sums.log", &md5_line(100));
+        h.append(Log::Md5sums, 0, &md5_line(100));
         let out = c.collect(&mut h, true, SimTime::from_secs(2400));
         match out {
             CollectOutcome::Success { literal_bytes, .. } => {
@@ -563,7 +544,7 @@ mod tests {
                     "append should be cheap, shipped {literal_bytes}"
                 );
                 // From the last full synced block on, and nothing before.
-                let new = h.log_len("md5sums.log").unwrap();
+                let new = h.log_len(Log::Md5sums, 0).unwrap();
                 assert_eq!(literal_bytes, new - old / RSYNC_BLOCK * RSYNC_BLOCK);
             }
             other => panic!("{other:?}"),
@@ -587,7 +568,7 @@ mod tests {
     #[should_panic(expected = "not one log line")]
     fn append_rejects_a_line_longer_than_max_line() {
         let (_, mut h) = setup();
-        h.append("md5sums.log", &format!("{}\n", "x".repeat(MAX_LINE)));
+        h.append(Log::Md5sums, 0, &format!("{}\n", "x".repeat(MAX_LINE)));
     }
 
     #[test]
@@ -595,15 +576,15 @@ mod tests {
     #[should_panic(expected = "not one log line")]
     fn append_rejects_two_lines_at_once() {
         let (_, mut h) = setup();
-        h.append("md5sums.log", "one\ntwo\n");
+        h.append(Log::Md5sums, 0, "one\ntwo\n");
     }
 
     #[test]
     fn unreachable_leaves_mirror_stale_and_reports_gap() {
         let (mut c, mut h) = setup();
-        h.append("md5sums.log", "before-failure\n");
+        h.append(Log::Md5sums, 0, "before-failure\n");
         c.collect(&mut h, true, SimTime::from_secs(1200));
-        h.append("md5sums.log", "during-switch-outage\n");
+        h.append(Log::Md5sums, 0, "during-switch-outage\n");
         let out = c.collect(&mut h, false, SimTime::from_secs(2400));
         assert_eq!(
             out,
@@ -612,9 +593,12 @@ mod tests {
             },
             "gap measured from the last good round"
         );
-        assert_eq!(h.synced_len("md5sums.log"), Some("before-failure\n".len()));
         assert_eq!(
-            c.staleness(15, SimTime::from_secs(3000)),
+            h.synced_len(Log::Md5sums, 0),
+            Some("before-failure\n".len())
+        );
+        assert_eq!(
+            h.staleness(SimTime::from_secs(3000)),
             Some(SimDuration::secs(1800))
         );
         // Once the path recovers, the round catches up.
@@ -627,7 +611,7 @@ mod tests {
             }
         ));
         assert_eq!(
-            h.synced_len("md5sums.log"),
+            h.synced_len(Log::Md5sums, 0),
             Some("before-failure\nduring-switch-outage\n".len())
         );
         // …and the healed outage is on the books.
@@ -643,7 +627,7 @@ mod tests {
     #[test]
     fn retries_back_off_exponentially_with_jitter() {
         let (mut c, mut h) = setup();
-        h.append("f", "x\n");
+        h.append(Log::Md5sums, 0, "x\n");
         let mut at = SimTime::from_secs(0);
         let mut delays = Vec::new();
         for _ in 0..6 {
@@ -691,14 +675,18 @@ mod tests {
     #[test]
     fn successful_retry_clears_backoff_state() {
         let (mut c, mut h) = setup();
-        h.append("f", "x\n");
+        h.append(Log::Md5sums, 0, "x\n");
         c.collect(&mut h, false, SimTime::from_secs(0));
         assert_eq!(c.due_retries(SimTime::from_secs(600)), vec![15]);
         let out = c.retry_collect(&mut h, true, SimTime::from_secs(600));
         assert!(matches!(out, CollectOutcome::Success { .. }));
         assert!(c.next_retry(15).is_none(), "state cleared after recovery");
         assert!(c.due_retries(SimTime::from_secs(9999)).is_empty());
-        assert_eq!(c.last_success(15), Some(SimTime::from_secs(600)));
+        assert_eq!(
+            h.staleness(SimTime::from_secs(900)),
+            Some(SimDuration::secs(300)),
+            "fresh from the successful retry"
+        );
         // The retry record is marked as such.
         let last = c.history().last().unwrap();
         assert_eq!(last.kind, AttemptKind::Retry);
@@ -710,10 +698,10 @@ mod tests {
         let mut c = Collector::new(&mut rng);
         // Host authorizes some other key.
         let mut h = MonitoredHost::new(3, &mut rng, vec![12345]);
-        h.append("f", "data\n");
+        h.append(Log::Md5sums, 0, "data\n");
         let out = c.collect(&mut h, true, SimTime::from_secs(0));
         assert_eq!(out, CollectOutcome::AuthFailed(HandshakeResult::UnknownKey));
-        assert_eq!(h.synced_len("f"), Some(0), "nothing synced");
+        assert_eq!(h.synced_len(Log::Md5sums, 0), Some(0), "nothing synced");
         // Auth failures also enter the retry schedule (the operators would
         // investigate, but the collector keeps knocking).
         assert!(c.next_retry(3).is_some());
@@ -722,7 +710,7 @@ mod tests {
     #[test]
     fn availability_counts_scheduled_rounds_only() {
         let (mut c, mut h) = setup();
-        h.append("f", "x\n");
+        h.append(Log::Md5sums, 0, "x\n");
         c.collect(&mut h, true, SimTime::from_secs(0));
         c.collect(&mut h, false, SimTime::from_secs(1200));
         // A failed catch-up retry must not dilute cadence availability.
@@ -733,15 +721,24 @@ mod tests {
         assert_eq!(c.history().len(), 5);
     }
 
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "logs rotate forward")]
+    fn append_rejects_an_earlier_day() {
+        let (_, mut h) = setup();
+        h.append(Log::Md5sums, 5, "today\n");
+        h.append(Log::Md5sums, 4, "yesterday\n");
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
         #[test]
-        fn grown_list_equals_a_full_scan(
+        fn store_equals_a_full_scan(
             rounds in proptest::collection::vec(
                 (
-                    0u8..4,
-                    proptest::collection::vec((0usize..2, 0u32..3, 1usize..MAX_LINE + 1), 0..6),
+                    0u8..3,
+                    proptest::collection::vec((0usize..2, 1usize..MAX_LINE + 1), 0..6),
                     proptest::prelude::any::<bool>(),
                     proptest::prelude::any::<bool>(),
                     1i64..1800,
@@ -749,25 +746,25 @@ mod tests {
                 1..48,
             ),
         ) {
-            // A host appends lines to today's two daily files (and now and
-            // then to an earlier day's), the day rolls over now and then,
-            // and rounds are scheduled or catch-up retries, reachable or
-            // not. Every round must ship what rsync's quick check over
-            // every file finds: the oracle below keeps each file's two
-            // lengths and scans them all.
+            // A host appends lines to today's two daily files, the day
+            // rolls over now and then (also while the host is unreachable,
+            // so one round can ship several rotated-out files), and rounds
+            // are scheduled or catch-up retries, reachable or not. Every
+            // round must ship what rsync's quick check over every file
+            // finds: the oracle below keeps every file's two lengths,
+            // keyed by (day, log), and scans them all.
             let (mut c, mut h) = setup();
-            let mut oracle: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-            let (mut day, mut t) = (0u32, SimTime::from_secs(0));
+            let mut oracle: BTreeMap<(i64, usize), (usize, usize)> = BTreeMap::new();
+            let (mut day, mut t) = (0i64, SimTime::from_secs(0));
             for (roll, appends, reachable, retry, dt) in rounds {
                 if roll == 0 {
                     day += 1;
                 }
-                for (kind, days_back, len) in appends {
-                    let name = ["sensors", "md5sums"][kind];
-                    let file = format!("{name}-{}.log", day.saturating_sub(days_back));
+                for (kind, len) in appends {
+                    let log = [Log::Sensors, Log::Md5sums][kind];
                     let line = format!("{}\n", "x".repeat(len - 1));
-                    h.append(&file, &line);
-                    oracle.entry(file).or_default().0 += len;
+                    h.append(log, day, &line);
+                    oracle.entry((day, kind)).or_default().0 += len;
                 }
                 t += SimDuration::secs(dt);
                 let out = if retry {
@@ -790,9 +787,14 @@ mod tests {
                     let unreachable = matches!(out, CollectOutcome::Unreachable { .. });
                     proptest::prop_assert!(unreachable, "{:?}", out);
                 }
-                for (file, &(len, synced)) in &oracle {
-                    proptest::prop_assert_eq!(h.log_len(file), Some(len));
-                    proptest::prop_assert_eq!(h.synced_len(file), Some(synced));
+                // The store reports each log's latest file, and no
+                // earlier day's.
+                for (&(file_day, kind), &(len, synced)) in &oracle {
+                    let log = [Log::Sensors, Log::Md5sums][kind];
+                    let latest = oracle.keys().filter(|k| k.1 == kind).map(|k| k.0).max();
+                    let want = (Some(file_day) == latest).then_some((len, synced));
+                    let got = h.log_len(log, file_day).zip(h.synced_len(log, file_day));
+                    proptest::prop_assert_eq!(got, want);
                 }
             }
         }
@@ -804,14 +806,14 @@ mod tests {
         let mut c = Collector::new(&mut rng);
         let mut h1 = MonitoredHost::new(1, &mut rng, vec![c.key.public]);
         let mut h2 = MonitoredHost::new(2, &mut rng, vec![c.key.public]);
-        h1.append("md5sums.log", "aaa\n");
-        h1.append("sensors.log", "t=-5\n");
-        h2.append("md5sums.log", "bbbb\n");
+        h1.append(Log::Md5sums, 0, "aaa\n");
+        h1.append(Log::Sensors, 0, "t=-5\n");
+        h2.append(Log::Md5sums, 0, "bbbb\n");
         c.collect(&mut h1, true, SimTime::from_secs(0));
         c.collect(&mut h2, true, SimTime::from_secs(0));
-        assert_eq!(h1.synced_len("md5sums.log"), Some(4));
-        assert_eq!(h1.synced_len("sensors.log"), Some(5));
-        assert_eq!(h2.synced_len("md5sums.log"), Some(5));
-        assert_eq!(h2.synced_len("sensors.log"), None);
+        assert_eq!(h1.synced_len(Log::Md5sums, 0), Some(4));
+        assert_eq!(h1.synced_len(Log::Sensors, 0), Some(5));
+        assert_eq!(h2.synced_len(Log::Md5sums, 0), Some(5));
+        assert_eq!(h2.synced_len(Log::Sensors, 0), None);
     }
 }

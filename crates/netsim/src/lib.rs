@@ -21,9 +21,10 @@
 //! * [`collector`] — the 20-minute collection round: authenticate, then
 //!   account what rsync ships for each grown log. The logs are stamped and
 //!   append-only, so a round's transfer follows from two lengths per file
-//!   ([`collector::log_delta`]): hosts keep a byte count per daily file,
-//!   not the bytes, and a list of the files appended to since the last
-//!   sync, which is all a round visits.
+//!   ([`collector::log_delta`]). A host keeps a fixed-size record, not the
+//!   bytes: today's two counts for each of its two daily logs, the running
+//!   sums for files rotated out unsynced, and when its mirror was last
+//!   fresh.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -18,7 +18,7 @@
 
 use std::time::Instant;
 
-use frostlab::core::config::{ExperimentConfig, FaultMode};
+use frostlab::core::config::{ExperimentConfig, FaultMode, TICK};
 use frostlab::core::fleet::FleetSpec;
 use frostlab::core::ScenarioBuilder;
 
@@ -39,7 +39,7 @@ fn main() {
             fleet,
             ..ExperimentConfig::short(42, 1)
         };
-        let ticks = (cfg.duration().as_secs() / cfg.tick.as_secs()) as f64;
+        let ticks = (cfg.duration().as_secs() / TICK.as_secs()) as f64;
         let label = if hosts == 0 { 19 } else { hosts };
 
         let t0 = Instant::now();

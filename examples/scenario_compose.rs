@@ -59,7 +59,7 @@ impl TickPhase for FreezingTicks {
 
     fn step(&mut self, ctx: &mut CampaignCtx) {
         self.total += 1;
-        if ctx.tent_state.air_temp_c < 0.0 {
+        if ctx.tent_zone_states[0].air_temp_c < 0.0 {
             self.below_zero += 1;
         }
     }

@@ -11,7 +11,7 @@ use frostlab::compress::mtf::{mtf_decode, mtf_encode};
 use frostlab::compress::recover::recover;
 use frostlab::compress::rle::{rle_decode, rle_encode};
 use frostlab::netsim::collector::{
-    log_delta, CollectOutcome, Collector, MonitoredHost, MAX_LINE, RSYNC_BLOCK,
+    log_delta, CollectOutcome, Collector, Log, MonitoredHost, MAX_LINE, RSYNC_BLOCK,
 };
 use frostlab::netsim::rsyncp;
 use frostlab::simkern::rng::Rng;
@@ -105,20 +105,21 @@ proptest! {
         let mut rng = Rng::new(7);
         let mut collector = Collector::new(&mut rng);
         let mut host = MonitoredHost::new(1, &mut rng, vec![collector.key.public]);
-        // The bytes the host's counted store stands for, and the synced copy.
-        let mut logs: BTreeMap<String, (Vec<u8>, Vec<u8>)> = BTreeMap::new();
+        // The bytes the host's counted store stands for, and the synced copy,
+        // by day.
+        let mut logs: BTreeMap<i64, (Vec<u8>, Vec<u8>)> = BTreeMap::new();
         let mut t = SimTime::from_secs(0);
-        let mut file = String::from("log-0");
+        let mut day = 0;
         for (round, (rotate, reach, lines)) in rounds.into_iter().enumerate() {
             if rotate == 0 {
-                file = format!("log-{round}");
+                day = round as i64;
                 t += SimDuration::secs(86_400);
             }
             for (kind, len, step) in lines {
                 t += SimDuration::secs(step);
                 let line = stamped_line(t, kind, len);
-                host.append(&file, &line);
-                logs.entry(file.clone()).or_default().0.extend_from_slice(line.as_bytes());
+                host.append(Log::Md5sums, day, &line);
+                logs.entry(day).or_default().0.extend_from_slice(line.as_bytes());
             }
             let reachable = reach != 0;
             let (mut files_updated, mut literal_bytes) = (0, 0);

@@ -199,10 +199,11 @@ pub fn md5_hex(data: &[u8]) -> String {
 }
 
 fn to_hex(digest: &[u8; 16]) -> String {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(32);
-    for b in digest {
-        use std::fmt::Write;
-        write!(s, "{b:02x}").expect("writing to String cannot fail");
+    for &b in digest {
+        s.push(char::from(HEX[usize::from(b >> 4)]));
+        s.push(char::from(HEX[usize::from(b & 0xf)]));
     }
     s
 }
@@ -239,6 +240,15 @@ mod tests {
                 "input {:?}",
                 String::from_utf8_lossy(input)
             );
+        }
+    }
+
+    #[test]
+    fn to_hex_spells_every_byte_value() {
+        for chunk in (0..=255u8).collect::<Vec<_>>().chunks(16) {
+            let digest: [u8; 16] = chunk.try_into().expect("256 splits into 16-byte chunks");
+            let want: String = digest.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(to_hex(&digest), want);
         }
     }
 

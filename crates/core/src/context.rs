@@ -505,7 +505,7 @@ impl CampaignCtx {
             );
         }
 
-        let (collection, collection_gaps) = self.collector.into_history();
+        let (collection, collection_gaps) = self.collector.into_ledger();
         ExperimentResults {
             seed: self.cfg.seed,
             window: (self.cfg.start, self.cfg.end),

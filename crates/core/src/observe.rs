@@ -7,8 +7,9 @@
 //!
 //! * samples the campaign state into the tracer's metrics registry
 //!   (gauges at tick boundaries, counters by delta) while draining the
-//!   append-only ledgers — collector history, healed gaps, fault events,
-//!   watchdog incidents — into trace events via cursors;
+//!   campaign's ledgers — this tick's collection attempts, and via cursors
+//!   the append-only healed gaps, fault events and watchdog incidents —
+//!   into trace events;
 //! * feeds the fleet health observatory in [`frostlab_obs::ObsState`]:
 //!   the dimensional rollups, the SLO burn-rate engine and the incident
 //!   flight recorder. SLO fires/resolves are mirrored into the watchdog
@@ -34,7 +35,9 @@ use crate::watchdog::IncidentKind;
 
 /// The trace-sampling half of [`ObservePhase`]: gauge snapshots, counter
 /// deltas, and the cursors that drain the campaign's append-only ledgers
-/// into trace events exactly once each.
+/// into trace events exactly once each. Collection attempts need no
+/// cursor: the collector keeps only the current tick's, which the
+/// collection phase clears before it runs.
 ///
 /// Gauges snapshot the current tick (`tent.temp_c`, `tent.power_w`,
 /// `collector.gaps_open`, `fleet.hosts_up`, …); counters advance by delta
@@ -48,7 +51,6 @@ use crate::watchdog::IncidentKind;
 /// since the collection pipeline models loss at attempt granularity
 /// rather than per frame.
 struct TraceCursors {
-    collection_cursor: usize,
     gap_cursor: usize,
     fault_cursor: usize,
     incident_cursor: usize,
@@ -59,7 +61,6 @@ struct TraceCursors {
 impl TraceCursors {
     fn new() -> TraceCursors {
         TraceCursors {
-            collection_cursor: 0,
             gap_cursor: 0,
             fault_cursor: 0,
             incident_cursor: 0,
@@ -108,10 +109,9 @@ impl TraceCursors {
         ctx.tracer
             .counter_add("workload.wrong_hashes_total", wrong_hashes);
 
-        // Collection attempts since the last tick.
+        // This tick's collection attempts.
         let emit_events = ctx.tracer.events_enabled();
-        let history = ctx.collector.history();
-        for rec in &history[self.collection_cursor..] {
+        for rec in ctx.collector.tick_records() {
             ctx.tracer.counter_add("collector.attempts_total", 1);
             if rec.kind == AttemptKind::Retry {
                 ctx.tracer.counter_add("netsim.retransmits", 1);
@@ -152,7 +152,6 @@ impl TraceCursors {
                 );
             }
         }
-        self.collection_cursor = history.len();
 
         // Gaps healed since the last tick — each becomes a span on the
         // affected host's track, covering the whole outage.

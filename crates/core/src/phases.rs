@@ -537,7 +537,7 @@ impl TickPhase for HostStepPhase {
                 busy_until[i] = t + SimDuration::secs(outcome.duration_secs as i64);
                 page_ops_since_poll[i] += outcome.page_ops;
                 hw.memory_record_page_ops(i, outcome.page_ops);
-                workload.record_run(plans[i].id, outcome.page_ops);
+                workload.record_run(outcome.page_ops);
                 if tracer.events_enabled() {
                     tracer.span(
                         &format!("host/{}", plans[i].id),
@@ -561,11 +561,11 @@ impl TickPhase for HostStepPhase {
                 self.logged.push((i, Log::Md5sums, self.line_buf.clone()));
                 if !outcome.hash_ok {
                     workload.record_hash_error(plans[i].id, placement[i], t);
-                    if let Some(bytes) = outcome.stored_archive {
+                    if let Some(archive) = outcome.stored_archive {
                         stored_archives.push(StoredArchive {
                             host: plans[i].id,
                             at: t,
-                            bytes,
+                            archive,
                         });
                     }
                 }
@@ -628,6 +628,7 @@ impl TickPhase for CollectionPhase {
 
     fn step(&mut self, ctx: &mut CampaignCtx) {
         let t = ctx.now;
+        ctx.collector.clear_tick();
         if t >= self.next_round {
             for idx in 0..ctx.fleet.len() {
                 if !ctx.fleet.installed(idx, t) {

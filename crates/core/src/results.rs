@@ -7,13 +7,14 @@ use frostlab_climate::station::WeatherObservation;
 use frostlab_faults::repair::Disposition;
 use frostlab_faults::types::FaultEvent;
 use frostlab_hardware::server::Vendor;
-use frostlab_netsim::collector::{AttemptKind, CollectRecord, CollectionGap};
+use frostlab_netsim::collector::{CollectionCounts, CollectionGap};
 use frostlab_obs::CampaignObs;
 use frostlab_simkern::time::SimTime;
 use frostlab_trace::CampaignTrace;
 
 use crate::watchdog::{Incident, IncidentRecord};
 use frostlab_telemetry::series::TimeSeries;
+use frostlab_workload::job::CorruptedArchive;
 use frostlab_workload::stats::{Placement, WorkloadStats};
 
 /// Per-host outcome summary.
@@ -57,8 +58,9 @@ pub struct StoredArchive {
     pub host: u32,
     /// Completion time of the offending run.
     pub at: SimTime,
-    /// The corrupted compressed tarball.
-    pub bytes: Vec<u8>,
+    /// The corrupted compressed tarball, kept as its recipe
+    /// ([`CorruptedArchive::bytes`] rebuilds it).
+    pub archive: CorruptedArchive,
 }
 
 /// Full results of one campaign.
@@ -92,8 +94,8 @@ pub struct ExperimentResults {
     pub fault_events: Vec<FaultEvent>,
     /// Per-host summaries.
     pub hosts: BTreeMap<u32, HostSummary>,
-    /// Collector attempt history (scheduled rounds and catch-up retries).
-    pub collection: Vec<CollectRecord>,
+    /// Collector attempt counts (scheduled rounds and catch-up retries).
+    pub collection: CollectionCounts,
     /// Healed collection outages, per host (start, end, failed attempts).
     pub collection_gaps: Vec<CollectionGap>,
     /// The watchdog's incident ledger: switch deaths, host hangs, sensor
@@ -144,23 +146,7 @@ impl ExperimentResults {
     /// retries are excluded so the retry policy's persistence cannot
     /// flatter (or dilute) the cadence the paper reports on.
     pub fn collection_availability(&self) -> f64 {
-        let (mut ok, mut total) = (0usize, 0usize);
-        for r in &self.collection {
-            if r.kind != AttemptKind::Scheduled {
-                continue;
-            }
-            total += 1;
-            if matches!(
-                r.outcome,
-                frostlab_netsim::collector::CollectOutcome::Success { .. }
-            ) {
-                ok += 1;
-            }
-        }
-        if total == 0 {
-            return 1.0;
-        }
-        ok as f64 / total as f64
+        self.collection.availability()
     }
 
     /// The incident ledger in its machine-readable form.
@@ -176,15 +162,7 @@ impl ExperimentResults {
     /// Literal bytes the rsync collection actually moved over the wire
     /// across the campaign (copy tokens excluded).
     pub fn collection_literal_bytes(&self) -> u64 {
-        self.collection
-            .iter()
-            .map(|r| match r.outcome {
-                frostlab_netsim::collector::CollectOutcome::Success { literal_bytes, .. } => {
-                    literal_bytes as u64
-                }
-                _ => 0,
-            })
-            .sum()
+        self.collection.literal_bytes
     }
 
     /// Mean tent-group power over the campaign, W.

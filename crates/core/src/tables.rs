@@ -74,8 +74,8 @@ pub fn t2_hashes(results: &ExperimentResults) -> Table {
         t.row(&[format!("  host #{host:02} ({placement})"), format!("{n}")]);
     }
     // Forensics on the most recent stored archive, like §4.2.2.
-    if let Some(archive) = results.stored_archives.last() {
-        let report = recover(&archive.bytes);
+    if let Some(stored) = results.stored_archives.last() {
+        let report = recover(&stored.archive.bytes());
         t.row(&[
             "recovered archive: blocks".to_string(),
             report.total_blocks().to_string(),

@@ -26,6 +26,11 @@
 //! When contact resumes, the mirror resynchronizes in one round (rsync's
 //! delta transfer ships everything missed) and the healed gap is logged as a
 //! [`CollectionGap`].
+//!
+//! The collector keeps a ledger, not a history: running
+//! [`CollectionCounts`] over every attempt, the current tick's
+//! [`CollectRecord`]s (cleared by [`Collector::clear_tick`]) and the healed
+//! gaps, which grow with outages rather than with campaign days.
 
 use std::collections::BTreeMap;
 
@@ -228,6 +233,59 @@ pub struct CollectRecord {
     pub outcome: CollectOutcome,
 }
 
+/// Running totals over every collection attempt of a campaign.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CollectionCounts {
+    /// Scheduled 20-minute rounds attempted.
+    pub scheduled: u64,
+    /// Scheduled rounds that succeeded.
+    pub scheduled_ok: u64,
+    /// Catch-up retries attempted.
+    pub retries: u64,
+    /// Attempts, of either kind, that found the host unreachable.
+    pub unreachable: u64,
+    /// Attempts, of either kind, whose handshake was rejected.
+    pub auth_failed: u64,
+    /// Files updated by successful attempts.
+    pub files: u64,
+    /// Literal bytes shipped by successful attempts.
+    pub literal_bytes: u64,
+}
+
+impl CollectionCounts {
+    fn record(&mut self, kind: AttemptKind, outcome: &CollectOutcome) {
+        match kind {
+            AttemptKind::Scheduled => self.scheduled += 1,
+            AttemptKind::Retry => self.retries += 1,
+        }
+        match outcome {
+            CollectOutcome::Success {
+                files_updated,
+                literal_bytes,
+            } => {
+                if kind == AttemptKind::Scheduled {
+                    self.scheduled_ok += 1;
+                }
+                self.files += *files_updated as u64;
+                self.literal_bytes += *literal_bytes as u64;
+            }
+            CollectOutcome::Unreachable { .. } => self.unreachable += 1,
+            CollectOutcome::AuthFailed(_) => self.auth_failed += 1,
+        }
+    }
+
+    /// Fraction of *scheduled* attempts that succeeded (collection
+    /// availability); 1 before any was made. Catch-up retries are excluded
+    /// so availability measures the paper's 20-minute cadence, not the
+    /// retry policy's persistence.
+    pub fn availability(&self) -> f64 {
+        if self.scheduled == 0 {
+            return 1.0;
+        }
+        self.scheduled_ok as f64 / self.scheduled as f64
+    }
+}
+
 /// A healed collection outage for one host: from the last good round before
 /// the outage to the round that resynchronized the mirror.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -285,7 +343,9 @@ struct RetryState {
 pub struct Collector {
     /// The collector's SSH identity.
     pub key: KeyPair,
-    history: Vec<CollectRecord>,
+    counts: CollectionCounts,
+    /// Attempts since the last [`Collector::clear_tick`].
+    tick: Vec<CollectRecord>,
     /// Root of the per-host jitter streams (derived, so creating it does not
     /// perturb the caller's RNG draws).
     retry_rng: Rng,
@@ -299,16 +359,27 @@ impl Collector {
         let retry_rng = rng.derive("retry");
         Collector {
             key: KeyPair::generate(rng),
-            history: Vec::new(),
+            counts: CollectionCounts::default(),
+            tick: Vec::new(),
             retry_rng,
             retries: BTreeMap::new(),
             gaps: Vec::new(),
         }
     }
 
-    /// All attempts so far.
-    pub fn history(&self) -> &[CollectRecord] {
-        &self.history
+    /// Running totals over every attempt so far.
+    pub fn counts(&self) -> CollectionCounts {
+        self.counts
+    }
+
+    /// The attempts made since the last [`Collector::clear_tick`], in order.
+    pub fn tick_records(&self) -> &[CollectRecord] {
+        &self.tick
+    }
+
+    /// Forget the previous tick's attempt records; the counts keep them.
+    pub fn clear_tick(&mut self) {
+        self.tick.clear();
     }
 
     /// Healed outages so far.
@@ -316,9 +387,9 @@ impl Collector {
         &self.gaps
     }
 
-    /// The attempt history and the healed outages, moved out.
-    pub fn into_history(self) -> (Vec<CollectRecord>, Vec<CollectionGap>) {
-        (self.history, self.gaps)
+    /// The running totals and the healed outages, moved out.
+    pub fn into_ledger(self) -> (CollectionCounts, Vec<CollectionGap>) {
+        (self.counts, self.gaps)
     }
 
     /// When the next catch-up retry is due for this host (if a gap is open).
@@ -428,34 +499,14 @@ impl Collector {
                 state.next_attempt = at + SimDuration::secs((delay + jitter).max(1));
             }
         }
-        self.history.push(CollectRecord {
+        self.counts.record(kind, &outcome);
+        self.tick.push(CollectRecord {
             host: host.id,
             at,
             kind,
             outcome: outcome.clone(),
         });
         outcome
-    }
-
-    /// Fraction of *scheduled* attempts that succeeded (collection
-    /// availability). Catch-up retries are excluded so availability measures
-    /// the paper's 20-minute cadence, not the retry policy's persistence.
-    pub fn availability(&self) -> f64 {
-        let scheduled = self
-            .history
-            .iter()
-            .filter(|r| r.kind == AttemptKind::Scheduled);
-        let (mut ok, mut total) = (0usize, 0usize);
-        for r in scheduled {
-            total += 1;
-            if matches!(r.outcome, CollectOutcome::Success { .. }) {
-                ok += 1;
-            }
-        }
-        if total == 0 {
-            return 1.0;
-        }
-        ok as f64 / total as f64
     }
 }
 
@@ -688,7 +739,7 @@ mod tests {
             "fresh from the successful retry"
         );
         // The retry record is marked as such.
-        let last = c.history().last().unwrap();
+        let last = c.tick_records().last().unwrap();
         assert_eq!(last.kind, AttemptKind::Retry);
     }
 
@@ -717,8 +768,15 @@ mod tests {
         c.retry_collect(&mut h, false, SimTime::from_secs(1320));
         c.collect(&mut h, false, SimTime::from_secs(2400));
         c.collect(&mut h, true, SimTime::from_secs(3600));
-        assert!((c.availability() - 0.5).abs() < 1e-12);
-        assert_eq!(c.history().len(), 5);
+        let counts = c.counts();
+        assert!((counts.availability() - 0.5).abs() < 1e-12);
+        assert_eq!((counts.scheduled, counts.scheduled_ok), (4, 2));
+        assert_eq!((counts.retries, counts.unreachable), (1, 3));
+        assert_eq!(c.tick_records().len(), 5);
+        // A new tick forgets the records; the counts keep them.
+        c.clear_tick();
+        assert!(c.tick_records().is_empty());
+        assert_eq!(c.counts(), counts);
     }
 
     #[test]
@@ -752,10 +810,12 @@ mod tests {
             // are scheduled or catch-up retries, reachable or not. Every
             // round must ship what rsync's quick check over every file
             // finds: the oracle below keeps every file's two lengths,
-            // keyed by (day, log), and scans them all.
+            // keyed by (day, log), and scans them all. The collector's
+            // running counts must add up every round the same way.
             let (mut c, mut h) = setup();
             let mut oracle: BTreeMap<(i64, usize), (usize, usize)> = BTreeMap::new();
             let (mut day, mut t) = (0i64, SimTime::from_secs(0));
+            let mut want = CollectionCounts::default();
             for (roll, appends, reachable, retry, dt) in rounds {
                 if roll == 0 {
                     day += 1;
@@ -768,8 +828,11 @@ mod tests {
                 }
                 t += SimDuration::secs(dt);
                 let out = if retry {
+                    want.retries += 1;
                     c.retry_collect(&mut h, reachable, t)
                 } else {
+                    want.scheduled += 1;
+                    want.scheduled_ok += u64::from(reachable);
                     c.collect(&mut h, reachable, t)
                 };
                 if reachable {
@@ -783,10 +846,14 @@ mod tests {
                         out,
                         CollectOutcome::Success { files_updated, literal_bytes }
                     );
+                    want.files += files_updated as u64;
+                    want.literal_bytes += literal_bytes as u64;
                 } else {
                     let unreachable = matches!(out, CollectOutcome::Unreachable { .. });
                     proptest::prop_assert!(unreachable, "{:?}", out);
+                    want.unreachable += 1;
                 }
+                proptest::prop_assert_eq!(c.counts(), want);
                 // The store reports each log's latest file, and no
                 // earlier day's.
                 for (&(file_day, kind), &(len, synced)) in &oracle {

@@ -24,7 +24,8 @@
 //!   ([`collector::log_delta`]). A host keeps a fixed-size record, not the
 //!   bytes: today's two counts for each of its two daily logs, the running
 //!   sums for files rotated out unsynced, and when its mirror was last
-//!   fresh.
+//!   fresh. The collector keeps running counts of its attempts, not a
+//!   record of each.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

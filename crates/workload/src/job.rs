@@ -6,6 +6,8 @@
 //! run corrupts one bit of the in-flight compressed stream, which makes the
 //! hash differ *and* leaves a stored archive in which exactly one
 //! compression block fails its CRC — reproducing the §4.2.2 forensics.
+//! The stored archive is kept as its recipe ([`CorruptedArchive`]): the
+//! shared clean bytes plus the bits that flipped, rebuilt when read.
 //!
 //! Page-operation accounting uses the **modeled** (paper-scale) tree size:
 //! the simulated pipeline runs on a scaled-down tree for speed, but the
@@ -73,12 +75,45 @@ pub struct RunOutcome {
     pub hash_ok: bool,
     /// The compressed archive — kept only when the hash differed
     /// ("if the results differ, the packed tarball is stored").
-    pub stored_archive: Option<Vec<u8>>,
+    pub stored_archive: Option<CorruptedArchive>,
     /// Page operations this run contributed to memory exposure.
     pub page_ops: u64,
     /// Modeled wall-clock duration of the run, seconds (drives the
     /// utilization/power profile in the orchestrator).
     pub duration_secs: f64,
+}
+
+/// A corrupted archive kept as its recipe: the clean compressed bytes every
+/// host shares, and the `(byte, bit)` flips one run made in them, in order.
+///
+/// A faulted run's archive is a pure function of these, so keeping them in
+/// place of a ~200 KiB copy makes a stored archive cost a few words;
+/// [`CorruptedArchive::bytes`] rebuilds the archive for whoever reads it.
+#[derive(Debug, Clone)]
+pub struct CorruptedArchive {
+    clean: Arc<Vec<u8>>,
+    flips: Vec<(usize, u8)>,
+}
+
+impl CorruptedArchive {
+    /// The corrupted archive, byte for byte as the run packed it.
+    pub fn bytes(&self) -> Vec<u8> {
+        let mut bytes = self.clean.as_ref().clone();
+        for &(byte, bit) in &self.flips {
+            bytes[byte] ^= 1 << bit;
+        }
+        bytes
+    }
+
+    /// The shared clean archive the flips apply to.
+    pub fn clean(&self) -> &Arc<Vec<u8>> {
+        &self.clean
+    }
+
+    /// The `(byte, bit)` flips, in the order the run made them.
+    pub fn flips(&self) -> &[(usize, u8)] {
+        &self.flips
+    }
 }
 
 /// The shared, host-independent part of the job: the reference tree, its
@@ -199,19 +234,25 @@ impl JobRunner {
         // template construction and by `run_full`), and the scheduled bit
         // flips land in the *buffered output*. Start from the cached bytes
         // instead of burning a real compress per faulted run — at fleet
-        // scale a single day sees hundreds of them.
+        // scale a single day sees hundreds of them. The copy lives only
+        // until it is hashed: a stored archive keeps the flips instead.
         let mut packed = self.clean_compressed.as_ref().clone();
+        let mut flips = Vec::with_capacity(bit_flips as usize);
         for _ in 0..bit_flips {
             // A flipped bit lands somewhere in the buffered archive.
             let byte = self.corrupt_rng.below(packed.len() as u64) as usize;
             let bit = self.corrupt_rng.below(8) as u8;
             packed[byte] ^= 1 << bit;
+            flips.push((byte, bit));
         }
         let hash: Arc<str> = md5_hex(&packed).into();
         let hash_ok = hash == self.golden_hash;
         RunOutcome {
             hash_ok,
-            stored_archive: if hash_ok { None } else { Some(packed) },
+            stored_archive: (!hash_ok).then(|| CorruptedArchive {
+                clean: Arc::clone(&self.clean_compressed),
+                flips,
+            }),
             page_ops: self.config.page_ops_per_run(),
             duration_secs: self.duration_secs,
             hash,
@@ -271,7 +312,7 @@ mod tests {
         let mut r = runner(3);
         let o = r.run(1);
         let archive = o.stored_archive.expect("wrong hash stores the archive");
-        let report = recover(&archive);
+        let report = recover(&archive.bytes());
         assert!(
             report.total_blocks() >= 300 && report.total_blocks() <= 500,
             "block count {} should be near the paper's 396",
@@ -284,6 +325,31 @@ mod tests {
             "corrupted {}",
             report.corrupted_count()
         );
+    }
+
+    #[test]
+    fn stored_archive_rebuilds_the_corrupted_buffer() {
+        for seed in [2, 3, 7, 11, 42] {
+            for bit_flips in 1..=3 {
+                let mut r = runner(seed);
+                // The twin replays the run's draws on a buffer corrupted in
+                // place, the way the hosts' memory corrupted it.
+                let mut twin = r.clone();
+                let o = r.run(bit_flips);
+                let mut packed = twin.clean_compressed.as_ref().clone();
+                for _ in 0..bit_flips {
+                    let byte = twin.corrupt_rng.below(packed.len() as u64) as usize;
+                    let bit = twin.corrupt_rng.below(8) as u8;
+                    packed[byte] ^= 1 << bit;
+                }
+                let archive = o.stored_archive.expect("a flipped run stores its archive");
+                assert_eq!(archive.flips().len(), bit_flips as usize);
+                assert!(Arc::ptr_eq(archive.clean(), &r.clean_compressed));
+                let bytes = archive.bytes();
+                assert_eq!(md5_hex(&bytes), *o.hash, "seed {seed}, {bit_flips} flips");
+                assert!(bytes == packed, "seed {seed}, {bit_flips} flips");
+            }
+        }
     }
 
     #[test]

@@ -40,7 +40,6 @@ pub struct HashError {
 #[derive(Debug, Clone, Default)]
 pub struct WorkloadStats {
     total_runs: u64,
-    runs_per_host: BTreeMap<u32, u64>,
     hash_errors: Vec<HashError>,
     total_page_ops: u64,
 }
@@ -52,9 +51,8 @@ impl WorkloadStats {
     }
 
     /// Record one completed run.
-    pub fn record_run(&mut self, host: u32, page_ops: u64) {
+    pub fn record_run(&mut self, page_ops: u64) {
         self.total_runs += 1;
-        *self.runs_per_host.entry(host).or_insert(0) += 1;
         self.total_page_ops = self.total_page_ops.saturating_add(page_ops);
     }
 
@@ -70,11 +68,6 @@ impl WorkloadStats {
     /// Total runs across the fleet.
     pub fn total_runs(&self) -> u64 {
         self.total_runs
-    }
-
-    /// Runs for one host.
-    pub fn runs_for(&self, host: u32) -> u64 {
-        self.runs_per_host.get(&host).copied().unwrap_or(0)
     }
 
     /// All wrong-hash incidents.
@@ -134,8 +127,8 @@ mod tests {
         // Reproduce the exact bookkeeping of §4.2.2: 27 627 runs, two tent
         // hosts with one error each, one basement host with three.
         let mut s = WorkloadStats::new();
-        for i in 0..27_627u64 {
-            s.record_run((i % 18 + 1) as u32, 116_000);
+        for _ in 0..27_627 {
+            s.record_run(116_000);
         }
         let t = SimTime::from_date(2010, 3, 20);
         s.record_hash_error(3, Placement::Tent, t);
@@ -162,17 +155,14 @@ mod tests {
         assert_eq!(s.total_runs(), 0);
         assert_eq!(s.error_ratio(), 0.0);
         assert_eq!(s.fault_ratio_per_page_op(), None);
-        assert_eq!(s.runs_for(3), 0);
     }
 
     #[test]
     fn per_host_run_counts() {
         let mut s = WorkloadStats::new();
-        s.record_run(1, 10);
-        s.record_run(1, 10);
-        s.record_run(2, 10);
-        assert_eq!(s.runs_for(1), 2);
-        assert_eq!(s.runs_for(2), 1);
+        s.record_run(10);
+        s.record_run(10);
+        s.record_run(10);
         assert_eq!(s.total_page_ops(), 30);
     }
 }

@@ -12,7 +12,6 @@
 //! ```
 
 use frostlab::core::{ExperimentConfig, ScenarioBuilder};
-use frostlab::netsim::collector::AttemptKind;
 
 fn main() {
     let seed = match std::env::args().nth(1) {
@@ -28,19 +27,12 @@ fn main() {
         .build()
         .run();
 
-    let scheduled = results
-        .collection
-        .iter()
-        .filter(|r| r.kind == AttemptKind::Scheduled)
-        .count();
-    let retries = results
-        .collection
-        .iter()
-        .filter(|r| r.kind == AttemptKind::Retry)
-        .count();
+    let counts = results.collection;
     println!(
-        "collection: {scheduled} scheduled rounds ({:.2} % available), {retries} catch-up retries",
-        100.0 * results.collection_availability()
+        "collection: {} scheduled rounds ({:.2} % available), {} catch-up retries",
+        counts.scheduled,
+        100.0 * results.collection_availability(),
+        counts.retries
     );
 
     println!("\nhealed collection gaps (worst five):");

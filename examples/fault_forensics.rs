@@ -49,7 +49,8 @@ fn main() {
     // bzip2recover-style salvage.
     let archive = corrupted
         .stored_archive
-        .expect("mismatch stores the archive");
+        .expect("mismatch stores the archive")
+        .bytes();
     let report = recover(&archive);
     println!(
         "recover: {} blocks scanned, {} corrupted {:?}",

@@ -10,6 +10,11 @@
 //! GOLDEN_PRINT=1 cargo test --release --test fleet_scale -- --nocapture
 //! ```
 
+mod support;
+
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use frostlab::core::config::{ExperimentConfig, FaultMode};
 use frostlab::core::fleet::FleetSpec;
 use frostlab::core::results::ExperimentResults;
@@ -18,7 +23,12 @@ use frostlab::ensemble::sweep;
 
 /// FNV-1a 64-bit over the artifact bytes (same gate as `golden_hash`).
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_from(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// FNV-1a continued from state `h`: the hash of a concatenation is this
+/// fold over its parts, so a stream can be hashed as it is made.
+fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x1_0000_0000_01b3);
@@ -38,13 +48,31 @@ const KILOHOST_COLLECTION_GOLDEN: u64 = 0xea02dc5262840495;
 /// one day each) — identical at 1 and 4 threads.
 const KILOHOST_ENSEMBLE_GOLDEN: u64 = 0xb38f13e9b3615230;
 
-/// The collection stream: every attempt record (host, time, kind, and the
-/// outcome with its files updated and literal bytes), one per line, then
-/// every healed gap.
-fn collection_records(results: &ExperimentResults) -> String {
-    let records = results.collection.iter().map(|r| format!("{r:?}\n"));
-    let gaps = results.collection_gaps.iter().map(|g| format!("{g:?}\n"));
-    records.chain(gaps).collect()
+/// Run `builder`, hashing its collection stream: every attempt record
+/// (host, time, kind, and the outcome with its files updated and literal
+/// bytes), one per line, then every healed gap. The campaign keeps no
+/// per-attempt records, so a tap folds each tick's lines as they are made.
+/// Returns the results, the stream's FNV-1a and its first 400 bytes.
+fn run_hashing_collection(builder: ScenarioBuilder) -> (ExperimentResults, u64, String) {
+    let stream = Rc::new(RefCell::new((fnv1a(b""), String::new())));
+    let tap = Rc::clone(&stream);
+    let results = support::tap_collection(builder, move |records| {
+        let (h, head) = &mut *tap.borrow_mut();
+        for r in records {
+            let line = format!("{r:?}\n");
+            *h = fnv1a_from(*h, line.as_bytes());
+            if head.len() < 400 {
+                head.push_str(&line);
+            }
+        }
+    })
+    .build()
+    .run();
+    let (records_hash, head) = stream.take();
+    let hash = results.collection_gaps.iter().fold(records_hash, |h, g| {
+        fnv1a_from(h, format!("{g:?}\n").as_bytes())
+    });
+    (results, hash, head)
 }
 
 fn kilohost_config(seed: u64) -> ExperimentConfig {
@@ -57,19 +85,16 @@ fn kilohost_config(seed: u64) -> ExperimentConfig {
 
 #[test]
 fn kilohost_campaign_matches_golden() {
-    let results = ScenarioBuilder::paper(kilohost_config(42)).build().run();
+    let (results, collection_hash, collection_head) =
+        run_hashing_collection(ScenarioBuilder::paper(kilohost_config(42)));
     assert_eq!(results.hosts.len(), 1_000, "fleet size");
     let summary = results.summary().to_json().expect("summary serializes");
-    let collection = collection_records(&results);
     if std::env::var_os("GOLDEN_PRINT").is_some() {
         println!(
             "KILOHOST_SUMMARY_GOLDEN = {:#018x}",
             fnv1a(summary.as_bytes())
         );
-        println!(
-            "KILOHOST_COLLECTION_GOLDEN = {:#018x}",
-            fnv1a(collection.as_bytes())
-        );
+        println!("KILOHOST_COLLECTION_GOLDEN = {collection_hash:#018x}");
         return;
     }
     assert_eq!(
@@ -79,10 +104,8 @@ fn kilohost_campaign_matches_golden() {
         &summary[..summary.len().min(400)]
     );
     assert_eq!(
-        fnv1a(collection.as_bytes()),
-        KILOHOST_COLLECTION_GOLDEN,
-        "1,000-host collection stream drifted (first 400 chars):\n{}",
-        &collection[..collection.len().min(400)]
+        collection_hash, KILOHOST_COLLECTION_GOLDEN,
+        "1,000-host collection stream drifted (its head):\n{collection_head}"
     );
 }
 

@@ -13,6 +13,11 @@
 //!
 //! and update the constants — in its own commit, with the reason.
 
+mod support;
+
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use frostlab::core::config::{ExperimentConfig, FaultMode};
 use frostlab::core::results::ExperimentResults;
 use frostlab::core::{figures, tables, ScenarioBuilder};
@@ -21,7 +26,12 @@ use frostlab::ensemble::sweep;
 /// FNV-1a 64-bit over the artifact bytes: stable, dependency-free, and
 /// plenty to detect any byte-level drift.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_from(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// FNV-1a continued from state `h`: the hash of a concatenation is this
+/// fold over its parts, so a stream can be hashed as it is made.
+fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x1_0000_0000_01b3);
@@ -49,22 +59,41 @@ const PAPER_GOLDEN: &[(&str, u64)] = &[
 /// campaigns, seeds 0..6) — identical at 1 and 4 threads.
 const ENSEMBLE_GOLDEN: u64 = 0xa635290fa36c7ef4;
 
-/// The collection stream: every attempt record (host, time, kind, and the
-/// outcome with its files updated and literal bytes), one per line, then
-/// every healed gap.
-fn collection_records(results: &ExperimentResults) -> String {
-    let records = results.collection.iter().map(|r| format!("{r:?}\n"));
-    let gaps = results.collection_gaps.iter().map(|g| format!("{g:?}\n"));
-    records.chain(gaps).collect()
+/// Run `builder`, hashing its collection stream: every attempt record
+/// (host, time, kind, and the outcome with its files updated and literal
+/// bytes), one per line, then every healed gap. The campaign keeps no
+/// per-attempt records, so a tap folds each tick's lines as they are made.
+/// Returns the results, the stream's FNV-1a and its first 400 bytes.
+fn run_hashing_collection(builder: ScenarioBuilder) -> (ExperimentResults, u64, String) {
+    let stream = Rc::new(RefCell::new((fnv1a(b""), String::new())));
+    let tap = Rc::clone(&stream);
+    let results = support::tap_collection(builder, move |records| {
+        let (h, head) = &mut *tap.borrow_mut();
+        for r in records {
+            let line = format!("{r:?}\n");
+            *h = fnv1a_from(*h, line.as_bytes());
+            if head.len() < 400 {
+                head.push_str(&line);
+            }
+        }
+    })
+    .build()
+    .run();
+    let (records_hash, head) = stream.take();
+    let hash = results.collection_gaps.iter().fold(records_hash, |h, g| {
+        fnv1a_from(h, format!("{g:?}\n").as_bytes())
+    });
+    (results, hash, head)
 }
 
-fn paper_artifacts() -> Vec<(&'static str, String)> {
-    let results = ScenarioBuilder::paper(ExperimentConfig::paper_scripted(42))
-        .build()
-        .run();
+/// Each artifact's name, FNV-1a and the text a drift report shows (the
+/// whole artifact, or the collection stream's head).
+fn paper_artifacts() -> Vec<(&'static str, u64, String)> {
+    let (results, collection_hash, collection_head) =
+        run_hashing_collection(ScenarioBuilder::paper(ExperimentConfig::paper_scripted(42)));
     let f3 = figures::fig3_temperature(&results);
     let f4 = figures::fig4_humidity(&results);
-    vec![
+    let artifacts = vec![
         ("t1_failures", tables::t1_failures(&results).to_string()),
         ("t2_hashes", tables::t2_hashes(&results).to_string()),
         ("t3_memory", tables::t3_memory(&results).to_string()),
@@ -81,8 +110,13 @@ fn paper_artifacts() -> Vec<(&'static str, String)> {
             "incident_log_json",
             results.incident_log_json().expect("ledger serializes"),
         ),
-        ("collection_records", collection_records(&results)),
-    ]
+    ];
+    let mut hashed: Vec<_> = artifacts
+        .into_iter()
+        .map(|(name, body)| (name, fnv1a(body.as_bytes()), body))
+        .collect();
+    hashed.push(("collection_records", collection_hash, collection_head));
+    hashed
 }
 
 fn ensemble_invariant(threads: usize) -> String {
@@ -102,16 +136,16 @@ fn ensemble_invariant(threads: usize) -> String {
 fn paper_scenario_outputs_match_pre_refactor_golden_hashes() {
     let artifacts = paper_artifacts();
     if std::env::var_os("GOLDEN_PRINT").is_some() {
-        for (name, body) in &artifacts {
-            println!("(\"{name}\", {:#018x}),", fnv1a(body.as_bytes()));
+        for (name, hash, _) in &artifacts {
+            println!("(\"{name}\", {hash:#018x}),");
         }
         return;
     }
     assert_eq!(artifacts.len(), PAPER_GOLDEN.len());
-    for ((name, body), (gname, golden)) in artifacts.iter().zip(PAPER_GOLDEN) {
+    for ((name, hash, body), (gname, golden)) in artifacts.iter().zip(PAPER_GOLDEN) {
         assert_eq!(name, gname);
         assert_eq!(
-            fnv1a(body.as_bytes()),
+            *hash,
             *golden,
             "artifact {name} drifted from the pre-refactor monolith \
              (first 300 chars):\n{}",

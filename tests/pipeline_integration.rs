@@ -27,7 +27,7 @@ fn forensic_chain_job_to_recover() {
     // One corrupted run: wrong hash, stored archive, ≤ 1 bad block.
     let o = job.run(1);
     assert!(!o.hash_ok);
-    let archive = o.stored_archive.expect("stored on mismatch");
+    let archive = o.stored_archive.expect("stored on mismatch").bytes();
     assert_eq!(
         md5_hex(&archive),
         *o.hash,

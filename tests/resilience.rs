@@ -8,11 +8,16 @@
 //! within the modeled repair window, and that the retrying collector turns
 //! outages into bounded, well-documented gaps instead of silent data loss.
 
+mod support;
+
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use frostlab::core::config::{ExperimentConfig, FaultMode};
 use frostlab::core::watchdog::IncidentKind;
 use frostlab::core::ScenarioBuilder;
 use frostlab::faults::chaos::{ChaosConfig, ChaosEngine, ChaosEvent};
-use frostlab::netsim::collector::AttemptKind;
+use frostlab::netsim::collector::{AttemptKind, CollectOutcome};
 use frostlab::simkern::rng::Rng;
 use frostlab::simkern::time::{SimDuration, SimTime};
 
@@ -99,46 +104,60 @@ fn chaos_campaigns_are_reproducible_and_seed_sensitive() {
     let a = run_chaos(33);
     let b = run_chaos(33);
     assert_eq!(a.incidents, b.incidents, "same seed, same incident ledger");
-    assert_eq!(a.collection.len(), b.collection.len());
+    assert_eq!(a.collection, b.collection);
     assert_eq!(a.workload.total_runs(), b.workload.total_runs());
 
     let c = run_chaos(34);
     // A different seed must reshuffle the chaos schedule (the engine draws
     // event times from seed-derived streams).
+    let attempts =
+        |r: &frostlab::core::ExperimentResults| r.collection.scheduled + r.collection.retries;
     assert!(
-        a.incidents != c.incidents || a.collection.len() != c.collection.len(),
+        a.incidents != c.incidents || attempts(&a) != attempts(&c),
         "seeds 33 and 34 produced identical campaigns"
     );
 }
 
 #[test]
 fn retries_are_bookkept_separately_from_the_cadence() {
-    let results = run_chaos(55);
-    let scheduled = results
-        .collection
-        .iter()
-        .filter(|r| r.kind == AttemptKind::Scheduled)
-        .count();
-    let retries = results
-        .collection
-        .iter()
-        .filter(|r| r.kind == AttemptKind::Retry)
-        .count();
+    // Recount every attempt from the records a tap sees: `(scheduled,
+    // scheduled successes, retries, literal bytes)`.
+    let recount = Rc::new(RefCell::new((0u64, 0u64, 0u64, 0u64)));
+    let tap = Rc::clone(&recount);
+    let builder = ScenarioBuilder::paper(chaos_config(55));
+    let results = support::tap_collection(builder, move |records| {
+        let (scheduled, ok, retries, bytes) = &mut *tap.borrow_mut();
+        for r in records {
+            let success = match r.outcome {
+                CollectOutcome::Success { literal_bytes, .. } => {
+                    *bytes += literal_bytes as u64;
+                    true
+                }
+                _ => false,
+            };
+            match r.kind {
+                AttemptKind::Scheduled => {
+                    *scheduled += 1;
+                    *ok += u64::from(success);
+                }
+                AttemptKind::Retry => *retries += 1,
+            }
+        }
+    })
+    .build()
+    .run();
+    let (scheduled, ok, retries, bytes) = recount.take();
     assert!(scheduled > 0);
     assert!(retries > 0, "this much chaos must trigger catch-up retries");
+    // The campaign's running counts agree with the records exactly.
+    let counts = results.collection;
+    assert_eq!(
+        (counts.scheduled, counts.scheduled_ok, counts.retries),
+        (scheduled, ok, retries)
+    );
+    assert_eq!(results.collection_literal_bytes(), bytes);
     // Availability is computed over the scheduled cadence only: recomputing
     // it from scratch over scheduled records must agree exactly.
-    let ok = results
-        .collection
-        .iter()
-        .filter(|r| {
-            r.kind == AttemptKind::Scheduled
-                && matches!(
-                    r.outcome,
-                    frostlab::netsim::collector::CollectOutcome::Success { .. }
-                )
-        })
-        .count();
     let expect = ok as f64 / scheduled as f64;
     assert!((results.collection_availability() - expect).abs() < 1e-12);
 }

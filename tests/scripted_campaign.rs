@@ -4,21 +4,42 @@
 //! This is the one deliberately long test in the suite (~45 s debug): it
 //! exercises every crate in the workspace end to end.
 
+mod support;
+
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use frostlab::compress::recover::recover;
 use frostlab::core::{tables, ExperimentConfig, ScenarioBuilder};
 use frostlab::faults::repair::Disposition;
 use frostlab::faults::types::FaultKind;
+use frostlab::netsim::collector::CollectOutcome;
 use frostlab::simkern::time::{SimDuration, SimTime};
 
-fn campaign() -> frostlab::core::ExperimentResults {
-    ScenarioBuilder::paper(ExperimentConfig::paper_scripted(42))
-        .build()
-        .run()
+/// The campaign's results, and its unreachable collection attempts as
+/// `(host, at, gap)`.
+fn campaign() -> (
+    frostlab::core::ExperimentResults,
+    Vec<(u32, SimTime, SimDuration)>,
+) {
+    let unreachable = Rc::new(RefCell::new(Vec::new()));
+    let tap = Rc::clone(&unreachable);
+    let builder = ScenarioBuilder::paper(ExperimentConfig::paper_scripted(42));
+    let results = support::tap_collection(builder, move |records| {
+        for r in records {
+            if let CollectOutcome::Unreachable { gap } = r.outcome {
+                tap.borrow_mut().push((r.host, r.at, gap));
+            }
+        }
+    })
+    .build()
+    .run();
+    (results, unreachable.take())
 }
 
 #[test]
 fn full_scripted_campaign_reproduces_the_paper() {
-    let results = campaign();
+    let (results, unreachable) = campaign();
 
     // --- T1: failure rate 1/18 = 5.6 %, comparable to Intel's 4.46 % ---
     let cmp = results.failure_comparison();
@@ -59,8 +80,8 @@ fn full_scripted_campaign_reproduces_the_paper() {
 
     // --- §4.2.2 forensics: stored archives, single-block damage ---
     assert_eq!(results.stored_archives.len(), 5);
-    for archive in &results.stored_archives {
-        let report = recover(&archive.bytes);
+    for stored in &results.stored_archives {
+        let report = recover(&stored.archive.bytes());
         assert!(
             report.total_blocks() >= 300,
             "block count {} should be near the paper's 396",
@@ -178,17 +199,9 @@ fn full_scripted_campaign_reproduces_the_paper() {
     // --- collection gap during the switch outage (Feb 26 – Mar 1) ---
     let outage_start = SimTime::from_ymd_hms(2010, 2, 28, 14, 0, 0);
     let outage_end = outage_start + SimDuration::hours(12);
-    let failed_rounds = results
-        .collection
+    let failed_rounds = unreachable
         .iter()
-        .filter(|r| {
-            r.at >= outage_start
-                && r.at <= outage_end
-                && matches!(
-                    r.outcome,
-                    frostlab::netsim::collector::CollectOutcome::Unreachable { .. }
-                )
-        })
+        .filter(|&&(_, at, _)| at >= outage_start && at <= outage_end)
         .count();
     assert!(
         failed_rounds > 0,
@@ -199,10 +212,8 @@ fn full_scripted_campaign_reproduces_the_paper() {
     // per host while the outage lasts ---
     let mut host_gaps: std::collections::BTreeMap<u32, Vec<SimDuration>> =
         std::collections::BTreeMap::new();
-    for r in &results.collection {
-        if let frostlab::netsim::collector::CollectOutcome::Unreachable { gap } = r.outcome {
-            host_gaps.entry(r.host).or_default().push(gap);
-        }
+    for &(host, _, gap) in &unreachable {
+        host_gaps.entry(host).or_default().push(gap);
     }
     assert!(!host_gaps.is_empty());
     let long_gaps = host_gaps

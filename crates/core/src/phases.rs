@@ -359,21 +359,24 @@ impl TickPhase for ScriptPhase {
 /// The loop destructures [`CampaignCtx`] and
 /// [`crate::fleet_state::FleetState`] once into disjoint column borrows and
 /// walks the flat arrays — O(hosts) per tick, no indexed re-borrow per
-/// field access. All scratch (the deferred hang/withdrawal lists, the log
-/// line buffer, the tick's timestamp) is phase-owned and reused, so the
-/// hot loop performs zero heap allocations per tick and formats the tick's
-/// date-time once, not once per line.
+/// field access. All scratch (the deferred hang/withdrawal lists, the
+/// tick's timestamp) is phase-owned and reused, so the hot loop performs
+/// zero heap allocations per tick and formats the tick's date-time once,
+/// not once per line.
 ///
-/// Every log line is formatted in full, because a sensor line's
-/// length depends on its numbers, but the host store keeps only its length,
-/// in the file of the tick's day.
+/// The host store keeps only each log line's length, in the file of the
+/// tick's day, so lines are counted, not formatted: a sensor line's length
+/// follows from its numbers' signs and integer digits (`fixed_len`), an
+/// md5sums line's from the stamp and the hash. Debug builds also format
+/// every line and check its length.
 #[derive(Debug)]
 pub struct HostStepPhase {
     next_fault_poll: SimTime,
     hangs: Vec<(usize, SimTime)>,
     withdrawals: Vec<usize>,
-    line_buf: String,
     stamp: String,
+    #[cfg(any(test, debug_assertions))]
+    line_buf: String,
     /// Every line appended, as (host index, log, line), for unit tests.
     #[cfg(test)]
     logged: Vec<(usize, Log, String)>,
@@ -386,12 +389,69 @@ impl HostStepPhase {
             next_fault_poll: cfg.start + FAULT_POLL_INTERVAL,
             hangs: Vec::new(),
             withdrawals: Vec::new(),
-            line_buf: String::new(),
             stamp: String::new(),
+            #[cfg(any(test, debug_assertions))]
+            line_buf: String::new(),
             #[cfg(test)]
             logged: Vec::new(),
         }
     }
+
+    /// Format the line of `host` that was counted as `len` bytes: the
+    /// tick's stamp, then `rest`. Checks the count; tests keep the line.
+    #[cfg(any(test, debug_assertions))]
+    #[cfg_attr(not(test), allow(unused_variables))]
+    fn check_line(&mut self, host: usize, log: Log, len: usize, rest: std::fmt::Arguments) {
+        use frostlab_netsim::collector::log_line_len;
+        use std::fmt::Write as _;
+        self.line_buf.clear();
+        self.line_buf.push_str(&self.stamp);
+        let _ = self.line_buf.write_fmt(rest);
+        let line = &self.line_buf;
+        assert_eq!(log_line_len(line), len, "counted length of {line:?}");
+        #[cfg(test)]
+        self.logged.push((host, log, self.line_buf.clone()));
+    }
+}
+
+/// Bytes of `format!("{v:.1$}", decimals)` for `decimals` 0 or 1.
+///
+/// The text is a `-` if the sign bit is set (so also `-0.0`), the integer
+/// digits of |v| after rounding, and a point with the decimals. Rounding
+/// moves |v| up by at most half a unit of the last place, so it can add a
+/// digit only within that below a power of ten. There, and for values that
+/// are not finite or not below 10⁹, the text is formatted and counted.
+fn fixed_len(v: f64, decimals: usize) -> usize {
+    debug_assert!(decimals <= 1, "{decimals} decimals");
+    let carry_zone = if decimals == 0 { 0.6 } else { 0.06 };
+    let a = v.abs();
+    let (mut digits, mut next) = (1, 10.0);
+    while next <= a && next < 1e9 {
+        digits += 1;
+        next *= 10.0;
+    }
+    if a < next - carry_zone {
+        let point = if decimals == 0 { 0 } else { 1 + decimals };
+        usize::from(v.is_sign_negative()) + digits + point
+    } else {
+        struct Count(usize);
+        impl std::fmt::Write for Count {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                self.0 += s.len();
+                Ok(())
+            }
+        }
+        let mut count = Count(0);
+        let _ = std::fmt::Write::write_fmt(&mut count, format_args!("{v:.decimals$}"));
+        count.0
+    }
+}
+
+/// Bytes of the sensor line `{stamp} cpu={v:.1} rh={rh:.0}\n`, with
+/// `cpu=n/a` when the chip gives no reading.
+fn sensor_line_len(stamp_len: usize, reading: Option<f64>, rh_pct: f64) -> usize {
+    let cpu = reading.map_or("n/a".len(), |v| fixed_len(v, 1));
+    stamp_len + " cpu=".len() + cpu + " rh=".len() + fixed_len(rh_pct, 0) + "\n".len()
 }
 
 impl TickPhase for HostStepPhase {
@@ -472,15 +532,21 @@ impl TickPhase for HostStepPhase {
 
             // Sensor log.
             if t >= next_sensor_log[i] {
-                self.line_buf.clear();
-                self.line_buf.push_str(&self.stamp);
-                let _ = match sensor_reading {
-                    Some(v) => writeln!(self.line_buf, " cpu={v:.1} rh={:.0}", encl.air_rh_pct),
-                    None => writeln!(self.line_buf, " cpu=n/a rh={:.0}", encl.air_rh_pct),
-                };
-                stores[i].append(Log::Sensors, day, &self.line_buf);
-                #[cfg(test)]
-                self.logged.push((i, Log::Sensors, self.line_buf.clone()));
+                let rh = encl.air_rh_pct;
+                let len = sensor_line_len(self.stamp.len(), sensor_reading, rh);
+                #[cfg(any(test, debug_assertions))]
+                match sensor_reading {
+                    Some(v) => self.check_line(
+                        i,
+                        Log::Sensors,
+                        len,
+                        format_args!(" cpu={v:.1} rh={rh:.0}\n"),
+                    ),
+                    None => {
+                        self.check_line(i, Log::Sensors, len, format_args!(" cpu=n/a rh={rh:.0}\n"))
+                    }
+                }
+                stores[i].append(Log::Sensors, day, len);
                 next_sensor_log[i] = t + SENSOR_LOG_INTERVAL;
             }
 
@@ -551,14 +617,15 @@ impl TickPhase for HostStepPhase {
                         ],
                     );
                 }
-                self.line_buf.clear();
-                self.line_buf.push_str(&self.stamp);
-                self.line_buf.push(' ');
-                self.line_buf.push_str(&outcome.hash);
-                self.line_buf.push_str(" run\n");
-                stores[i].append(Log::Md5sums, day, &self.line_buf);
-                #[cfg(test)]
-                self.logged.push((i, Log::Md5sums, self.line_buf.clone()));
+                let len = self.stamp.len() + " ".len() + outcome.hash.len() + " run\n".len();
+                #[cfg(any(test, debug_assertions))]
+                self.check_line(
+                    i,
+                    Log::Md5sums,
+                    len,
+                    format_args!(" {} run\n", outcome.hash),
+                );
+                stores[i].append(Log::Md5sums, day, len);
                 if !outcome.hash_ok {
                     workload.record_hash_error(plans[i].id, placement[i], t);
                     if let Some(archive) = outcome.stored_archive {
@@ -706,6 +773,71 @@ mod tests {
 
     fn ctx_at(cfg: ExperimentConfig) -> CampaignCtx {
         CampaignCtx::new(cfg)
+    }
+
+    fn assert_fixed_len_formats(v: f64) {
+        for decimals in [0, 1] {
+            let text = format!("{v:.decimals$}");
+            assert_eq!(fixed_len(v, decimals), text.len(), "{v:?} as {text:?}");
+        }
+    }
+
+    #[test]
+    fn fixed_len_counts_rounding_carries_signs_and_non_finite_values() {
+        // Each value and its neighbours sits where rounding to 0 or 1
+        // decimal may carry into a new digit.
+        for edge in [0.05f64, 0.5, 9.5, 9.95, 99.5, 99.95, 999.95, 1e9, 1e12] {
+            for v in [edge, edge.next_up(), edge.next_down()] {
+                assert_fixed_len_formats(v);
+                assert_fixed_len_formats(-v);
+            }
+        }
+        for v in [
+            0.0,
+            -0.0,
+            -0.04,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+        ] {
+            assert_fixed_len_formats(v);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn fixed_len_equals_the_formatted_length(
+            x in -1.0..1.0f64,
+            scale in 0i32..8,
+            units in -1_000_000i64..1_000_000,
+        ) {
+            // Arbitrary values across magnitudes, and values on the
+            // decimal grid, where ties round.
+            assert_fixed_len_formats(x * 10f64.powi(scale));
+            assert_fixed_len_formats(units as f64 / 20.0);
+        }
+    }
+
+    #[test]
+    fn sensor_line_len_counts_the_formatted_line() {
+        let stamp = "2010-02-19 12:00:00";
+        for (reading, rh) in [
+            (Some(-4.96), 99.5),
+            (Some(23.04), 9.4),
+            (None, 100.0),
+            (Some(-0.0), 0.2),
+        ] {
+            let cpu = reading.map_or("n/a".to_string(), |v| format!("{v:.1}"));
+            let line = format!("{stamp} cpu={cpu} rh={rh:.0}\n");
+            assert_eq!(
+                sensor_line_len(stamp.len(), reading, rh),
+                line.len(),
+                "{line:?}"
+            );
+        }
     }
 
     #[test]

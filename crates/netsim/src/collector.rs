@@ -75,6 +75,19 @@ pub fn log_delta(synced: usize, len: usize) -> LogDelta {
     }
 }
 
+/// The length of `line`, which must be one log line: at most [`MAX_LINE`]
+/// bytes, ending in its only `\n`.
+///
+/// # Panics
+/// Panics if `line` is not one such line.
+pub fn log_line_len(line: &str) -> usize {
+    assert!(
+        line.len() <= MAX_LINE && line.find('\n') == Some(line.len() - 1),
+        "not one log line of at most {MAX_LINE} bytes: {line:?}"
+    );
+    line.len()
+}
+
 /// The two logs every host rotates daily.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Log {
@@ -129,17 +142,17 @@ impl MonitoredHost {
         }
     }
 
-    /// Append one line, ending in its only `\n` and at most [`MAX_LINE`]
-    /// bytes long, to the file of `log` dated `day` (days since the epoch,
-    /// `t.date().days_since_epoch()`). A new day rotates the log.
-    pub fn append(&mut self, log: Log, day: i64, line: &str) {
+    /// Append one line of `len` bytes, newline included (see
+    /// [`log_line_len`]), to the file of `log` dated `day` (days since the
+    /// epoch, `t.date().days_since_epoch()`). A new day rotates the log.
+    pub fn append(&mut self, log: Log, day: i64, len: usize) {
         debug_assert!(
-            line.len() <= MAX_LINE && line.find('\n') == Some(line.len() - 1),
-            "not one log line of at most {MAX_LINE} bytes: {line:?}"
+            (1..=MAX_LINE).contains(&len),
+            "not one log line of at most {MAX_LINE} bytes: {len} bytes"
         );
         let file = &mut self.today[log as usize];
         match file {
-            Some(f) if f.day == day => f.len += line.len(),
+            Some(f) if f.day == day => f.len += len,
             _ => {
                 debug_assert!(file.is_none_or(|old| day > old.day), "logs rotate forward");
                 if let Some(old) = file.filter(|old| old.len != old.synced) {
@@ -148,7 +161,7 @@ impl MonitoredHost {
                 }
                 *file = Some(DailyFile {
                     day,
-                    len: line.len(),
+                    len,
                     synced: 0,
                 });
             }
@@ -539,7 +552,7 @@ mod tests {
             let len: usize = (0..lines)
                 .map(|i| {
                     let line = md5_line(i);
-                    h.append(Log::Md5sums, 0, &line);
+                    h.append(Log::Md5sums, 0, log_line_len(&line));
                     line.len()
                 })
                 .sum();
@@ -564,7 +577,7 @@ mod tests {
     fn unchanged_files_cost_nothing() {
         let (mut c, mut h) = setup();
         for _ in 0..50 {
-            h.append(Log::Sensors, 0, "temp=-4.0 rh=35\n");
+            h.append(Log::Sensors, 0, log_line_len("temp=-4.0 rh=35\n"));
         }
         c.collect(&mut h, true, SimTime::from_secs(1200));
         let out = c.collect(&mut h, true, SimTime::from_secs(2400));
@@ -581,12 +594,12 @@ mod tests {
     fn appended_lines_ship_small_deltas() {
         let (mut c, mut h) = setup();
         for i in 0..100 {
-            h.append(Log::Md5sums, 0, &md5_line(i));
+            h.append(Log::Md5sums, 0, log_line_len(&md5_line(i)));
         }
         let old = h.log_len(Log::Md5sums, 0).unwrap();
         assert!(old > 4096);
         c.collect(&mut h, true, SimTime::from_secs(1200));
-        h.append(Log::Md5sums, 0, &md5_line(100));
+        h.append(Log::Md5sums, 0, log_line_len(&md5_line(100)));
         let out = c.collect(&mut h, true, SimTime::from_secs(2400));
         match out {
             CollectOutcome::Success { literal_bytes, .. } => {
@@ -619,7 +632,7 @@ mod tests {
     #[should_panic(expected = "not one log line")]
     fn append_rejects_a_line_longer_than_max_line() {
         let (_, mut h) = setup();
-        h.append(Log::Md5sums, 0, &format!("{}\n", "x".repeat(MAX_LINE)));
+        h.append(Log::Md5sums, 0, MAX_LINE + 1);
     }
 
     #[test]
@@ -627,15 +640,15 @@ mod tests {
     #[should_panic(expected = "not one log line")]
     fn append_rejects_two_lines_at_once() {
         let (_, mut h) = setup();
-        h.append(Log::Md5sums, 0, "one\ntwo\n");
+        h.append(Log::Md5sums, 0, log_line_len("one\ntwo\n"));
     }
 
     #[test]
     fn unreachable_leaves_mirror_stale_and_reports_gap() {
         let (mut c, mut h) = setup();
-        h.append(Log::Md5sums, 0, "before-failure\n");
+        h.append(Log::Md5sums, 0, log_line_len("before-failure\n"));
         c.collect(&mut h, true, SimTime::from_secs(1200));
-        h.append(Log::Md5sums, 0, "during-switch-outage\n");
+        h.append(Log::Md5sums, 0, log_line_len("during-switch-outage\n"));
         let out = c.collect(&mut h, false, SimTime::from_secs(2400));
         assert_eq!(
             out,
@@ -678,7 +691,7 @@ mod tests {
     #[test]
     fn retries_back_off_exponentially_with_jitter() {
         let (mut c, mut h) = setup();
-        h.append(Log::Md5sums, 0, "x\n");
+        h.append(Log::Md5sums, 0, log_line_len("x\n"));
         let mut at = SimTime::from_secs(0);
         let mut delays = Vec::new();
         for _ in 0..6 {
@@ -726,7 +739,7 @@ mod tests {
     #[test]
     fn successful_retry_clears_backoff_state() {
         let (mut c, mut h) = setup();
-        h.append(Log::Md5sums, 0, "x\n");
+        h.append(Log::Md5sums, 0, log_line_len("x\n"));
         c.collect(&mut h, false, SimTime::from_secs(0));
         assert_eq!(c.due_retries(SimTime::from_secs(600)), vec![15]);
         let out = c.retry_collect(&mut h, true, SimTime::from_secs(600));
@@ -749,7 +762,7 @@ mod tests {
         let mut c = Collector::new(&mut rng);
         // Host authorizes some other key.
         let mut h = MonitoredHost::new(3, &mut rng, vec![12345]);
-        h.append(Log::Md5sums, 0, "data\n");
+        h.append(Log::Md5sums, 0, log_line_len("data\n"));
         let out = c.collect(&mut h, true, SimTime::from_secs(0));
         assert_eq!(out, CollectOutcome::AuthFailed(HandshakeResult::UnknownKey));
         assert_eq!(h.synced_len(Log::Md5sums, 0), Some(0), "nothing synced");
@@ -761,7 +774,7 @@ mod tests {
     #[test]
     fn availability_counts_scheduled_rounds_only() {
         let (mut c, mut h) = setup();
-        h.append(Log::Md5sums, 0, "x\n");
+        h.append(Log::Md5sums, 0, log_line_len("x\n"));
         c.collect(&mut h, true, SimTime::from_secs(0));
         c.collect(&mut h, false, SimTime::from_secs(1200));
         // A failed catch-up retry must not dilute cadence availability.
@@ -784,8 +797,8 @@ mod tests {
     #[should_panic(expected = "logs rotate forward")]
     fn append_rejects_an_earlier_day() {
         let (_, mut h) = setup();
-        h.append(Log::Md5sums, 5, "today\n");
-        h.append(Log::Md5sums, 4, "yesterday\n");
+        h.append(Log::Md5sums, 5, log_line_len("today\n"));
+        h.append(Log::Md5sums, 4, log_line_len("yesterday\n"));
     }
 
     proptest::proptest! {
@@ -822,8 +835,7 @@ mod tests {
                 }
                 for (kind, len) in appends {
                     let log = [Log::Sensors, Log::Md5sums][kind];
-                    let line = format!("{}\n", "x".repeat(len - 1));
-                    h.append(log, day, &line);
+                    h.append(log, day, len);
                     oracle.entry((day, kind)).or_default().0 += len;
                 }
                 t += SimDuration::secs(dt);
@@ -873,9 +885,9 @@ mod tests {
         let mut c = Collector::new(&mut rng);
         let mut h1 = MonitoredHost::new(1, &mut rng, vec![c.key.public]);
         let mut h2 = MonitoredHost::new(2, &mut rng, vec![c.key.public]);
-        h1.append(Log::Md5sums, 0, "aaa\n");
-        h1.append(Log::Sensors, 0, "t=-5\n");
-        h2.append(Log::Md5sums, 0, "bbbb\n");
+        h1.append(Log::Md5sums, 0, log_line_len("aaa\n"));
+        h1.append(Log::Sensors, 0, log_line_len("t=-5\n"));
+        h2.append(Log::Md5sums, 0, log_line_len("bbbb\n"));
         c.collect(&mut h1, true, SimTime::from_secs(0));
         c.collect(&mut h2, true, SimTime::from_secs(0));
         assert_eq!(h1.synced_len(Log::Md5sums, 0), Some(4));

@@ -225,16 +225,7 @@ impl Rng {
             return 0;
         }
         if lambda < 30.0 {
-            let limit = (-lambda).exp();
-            let mut k = 0u64;
-            let mut p = 1.0;
-            loop {
-                p *= self.f64();
-                if p <= limit {
-                    return k;
-                }
-                k += 1;
-            }
+            self.poisson_with_limit((-lambda).exp())
         } else {
             let x = self.normal(lambda, lambda.sqrt()) + 0.5;
             if x < 0.0 {
@@ -242,6 +233,21 @@ impl Rng {
             } else {
                 x as u64
             }
+        }
+    }
+
+    /// Knuth's product loop of [`Rng::poisson`] for a mean below 30, given
+    /// its `limit = exp(−mean)`: a caller that meets the same mean again
+    /// can keep the limit instead of recomputing it.
+    pub fn poisson_with_limit(&mut self, limit: f64) -> u64 {
+        let mut k = 0u64;
+        let mut p = 1.0;
+        loop {
+            p *= self.f64();
+            if p <= limit {
+                return k;
+            }
+            k += 1;
         }
     }
 

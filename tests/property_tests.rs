@@ -11,7 +11,7 @@ use frostlab::compress::mtf::{mtf_decode, mtf_encode};
 use frostlab::compress::recover::recover;
 use frostlab::compress::rle::{rle_decode, rle_encode};
 use frostlab::netsim::collector::{
-    log_delta, CollectOutcome, Collector, Log, MonitoredHost, MAX_LINE, RSYNC_BLOCK,
+    log_delta, log_line_len, CollectOutcome, Collector, Log, MonitoredHost, MAX_LINE, RSYNC_BLOCK,
 };
 use frostlab::netsim::rsyncp;
 use frostlab::simkern::rng::Rng;
@@ -118,7 +118,7 @@ proptest! {
             for (kind, len, step) in lines {
                 t += SimDuration::secs(step);
                 let line = stamped_line(t, kind, len);
-                host.append(Log::Md5sums, day, &line);
+                host.append(Log::Md5sums, day, log_line_len(&line));
                 logs.entry(day).or_default().0.extend_from_slice(line.as_bytes());
             }
             let reachable = reach != 0;

@@ -22,7 +22,7 @@ use crate::weather::{Anchor, ClimateParams};
 pub fn helsinki_winter_2010() -> ClimateParams {
     ClimateParams {
         name: "Helsinki",
-        latitude_deg: 60.2,
+        latitude_deg: crate::solar::HELSINKI_LAT_DEG,
         // 2009–2010 was markedly colder than the 1981–2010 normals; the
         // annual-mean/amplitude pair below puts February around −9 °C.
         t_annual_mean_c: 4.0,

@@ -11,16 +11,14 @@
 //! Helsinki (60.2 °N) in February: the sun rises ~8 h, peaks at ~14–17°
 //! elevation — weak, but a dark tent fabric still absorbs a few hundred W.
 
-use frostlab_simkern::time::SimTime;
-
 /// Latitude of the Kumpula campus roof terrace, degrees north.
 pub const HELSINKI_LAT_DEG: f64 = 60.2;
 
 /// Solar constant, W/m².
-pub const SOLAR_CONSTANT: f64 = 1361.0;
+const SOLAR_CONSTANT: f64 = 1361.0;
 
 /// Solar declination in degrees for a given day of year (Cooper 1969).
-pub fn declination_deg(day_of_year: u32) -> f64 {
+fn declination_deg(day_of_year: u32) -> f64 {
     23.45
         * ((360.0 / 365.0) * (284.0 + day_of_year as f64))
             .to_radians()
@@ -28,14 +26,14 @@ pub fn declination_deg(day_of_year: u32) -> f64 {
 }
 
 /// Hour angle in degrees at local solar hour `h` (0–24, 12 = solar noon).
-pub fn hour_angle_deg(hour_of_day: f64) -> f64 {
+fn hour_angle_deg(hour_of_day: f64) -> f64 {
     15.0 * (hour_of_day - 12.0)
 }
 
-/// The pieces of [`elevation_deg`] that depend only on latitude and day of
-/// year, hoisted into a per-day value so the weather kernel's skeleton
-/// build pays one cosine and one arcsine per tick instead of five
-/// trigonometric calls.
+/// The solar geometry of one latitude and day of year: the pieces of the
+/// elevation formula that depend only on those, hoisted into a per-day
+/// value so the weather kernel's skeleton build pays one cosine and one
+/// arcsine per tick instead of five trigonometric calls.
 #[derive(Debug, Clone, Copy)]
 pub struct SolarDayGeom {
     /// `sin(lat)·sin(dec)`.
@@ -79,33 +77,18 @@ impl SolarDayGeom {
     }
 }
 
-/// Solar elevation angle in degrees at `latitude_deg` for the given day of
-/// year and local solar hour. Negative when the sun is below the horizon.
-pub fn elevation_deg(latitude_deg: f64, day_of_year: u32, hour_of_day: f64) -> f64 {
-    SolarDayGeom::new(latitude_deg, day_of_year).elevation_deg(hour_of_day)
-}
-
-/// Clear-sky global horizontal irradiance in W/m².
-///
-/// Uses a simple air-mass attenuation (Kasten–Young air mass, bulk
-/// transmittance 0.7) — adequate for forcing a lumped thermal model.
-pub fn clear_sky_ghi_w_m2(elevation_deg: f64) -> f64 {
-    if elevation_deg <= 0.0 {
-        return 0.0;
-    }
-    clear_sky_from_sin_elevation(
-        crate::fastmath::sin(elevation_deg.to_radians()),
-        elevation_deg,
-    )
-}
-
 /// `ln 0.7` — the bulk-transmittance attenuation exponent, precomputed.
 const LN_0_7: f64 = -0.356_674_943_938_732_45;
 
-/// Core of [`clear_sky_ghi_w_m2`] with `sin(elevation)` already in hand:
-/// it doubles as `cos(zenith)` in the Kasten–Young air-mass denominator
-/// and as the horizontal projection, and the `0.7^(am^0.678)` attenuation
-/// runs fused in log space (one `ln`, two `exp` instead of two `powf`).
+/// Clear-sky global horizontal irradiance in W/m² at a positive elevation,
+/// given with its sine.
+///
+/// Uses a simple air-mass attenuation (Kasten–Young air mass, bulk
+/// transmittance 0.7) — adequate for forcing a lumped thermal model.
+/// `sin(elevation)` doubles as `cos(zenith)` in the Kasten–Young air-mass
+/// denominator and as the horizontal projection, and the `0.7^(am^0.678)`
+/// attenuation runs fused in log space (one `ln`, two `exp` instead of two
+/// `powf`).
 fn clear_sky_from_sin_elevation(sin_elev: f64, elevation_deg: f64) -> f64 {
     let zen = 90.0 - elevation_deg;
     // Kasten & Young (1989) relative air mass.
@@ -119,44 +102,35 @@ fn clear_sky_from_sin_elevation(sin_elev: f64, elevation_deg: f64) -> f64 {
     ghi.max(0.0)
 }
 
-/// Clear-sky irradiance at a [`SimTime`] — the deterministic part of
-/// [`irradiance_at`], tabulated per tick by the weather kernel's skeleton.
-pub fn clear_sky_at(latitude_deg: f64, t: SimTime) -> f64 {
-    SolarDayGeom::new(latitude_deg, t.day_of_year()).clear_sky_w_m2(t.hour_of_day_f64())
-}
-
 /// Cloud attenuation factor for fractional cover `cloud ∈ [0, 1]`
 /// (0 = clear). Follows the common `1 − 0.75·c³·⁴` fit (Kasten & Czeplak
-/// 1980). This is the stochastic per-sample half of [`irradiance_at`].
+/// 1980). The weather kernel scales each sample's clear-sky irradiance by
+/// it.
 pub fn cloud_attenuation(cloud: f64) -> f64 {
     let c = cloud.clamp(0.0, 1.0);
     1.0 - 0.75 * crate::fastmath::powf(c, 3.4)
-}
-
-/// Irradiance at a [`SimTime`], attenuated by fractional cloud cover
-/// `cloud ∈ [0, 1]` (0 = clear).
-pub fn irradiance_at(latitude_deg: f64, t: SimTime, cloud: f64) -> f64 {
-    clear_sky_at(latitude_deg, t) * cloud_attenuation(cloud)
-}
-
-/// Day length in hours (sunrise to sunset) at the given latitude and day.
-pub fn day_length_hours(latitude_deg: f64, day_of_year: u32) -> f64 {
-    let lat = latitude_deg.to_radians();
-    let dec = declination_deg(day_of_year).to_radians();
-    let cos_ha = -lat.tan() * dec.tan();
-    if cos_ha >= 1.0 {
-        0.0 // polar night
-    } else if cos_ha <= -1.0 {
-        24.0 // midnight sun
-    } else {
-        2.0 * cos_ha.acos().to_degrees() / 15.0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use frostlab_simkern::time::SimTime;
+
+    /// Clear-sky irradiance at Helsinki at `t` under cloud cover `cloud`,
+    /// as the weather kernel computes it.
+    fn irradiance(t: SimTime, cloud: f64) -> f64 {
+        let day = SolarDayGeom::new(HELSINKI_LAT_DEG, t.day_of_year());
+        day.clear_sky_w_m2(t.hour_of_day_f64()) * cloud_attenuation(cloud)
+    }
+
+    /// Hours the sun is above the horizon, counted minute by minute.
+    fn day_length_hours(latitude_deg: f64, day_of_year: u32) -> f64 {
+        let day = SolarDayGeom::new(latitude_deg, day_of_year);
+        (0..1440)
+            .filter(|&m| day.elevation_deg(f64::from(m) / 60.0) > 0.0)
+            .count() as f64
+            / 60.0
+    }
 
     #[test]
     fn declination_extremes() {
@@ -169,10 +143,11 @@ mod tests {
     #[test]
     fn helsinki_february_sun_is_low() {
         // Feb 15 (day 46), solar noon: elevation should be ~15–19°.
-        let e = elevation_deg(HELSINKI_LAT_DEG, 46, 12.0);
+        let day = SolarDayGeom::new(HELSINKI_LAT_DEG, 46);
+        let e = day.elevation_deg(12.0);
         assert!((12.0..22.0).contains(&e), "{e}");
         // Midnight: far below horizon.
-        assert!(elevation_deg(HELSINKI_LAT_DEG, 46, 0.0) < -30.0);
+        assert!(day.elevation_deg(0.0) < -30.0);
     }
 
     #[test]
@@ -195,16 +170,16 @@ mod tests {
     fn irradiance_zero_at_night_positive_at_noon() {
         let night = SimTime::from_ymd_hms(2010, 2, 15, 1, 0, 0);
         let noon = SimTime::from_ymd_hms(2010, 2, 15, 12, 0, 0);
-        assert_eq!(irradiance_at(HELSINKI_LAT_DEG, night, 0.0), 0.0);
-        let g = irradiance_at(HELSINKI_LAT_DEG, noon, 0.0);
+        assert_eq!(irradiance(night, 0.0), 0.0);
+        let g = irradiance(noon, 0.0);
         assert!((100.0..500.0).contains(&g), "{g}");
     }
 
     #[test]
     fn clouds_attenuate() {
         let noon = SimTime::from_ymd_hms(2010, 3, 15, 12, 0, 0);
-        let clear = irradiance_at(HELSINKI_LAT_DEG, noon, 0.0);
-        let overcast = irradiance_at(HELSINKI_LAT_DEG, noon, 1.0);
+        let clear = irradiance(noon, 0.0);
+        let overcast = irradiance(noon, 1.0);
         assert!(overcast < 0.35 * clear);
         assert!(overcast > 0.0);
     }
@@ -213,7 +188,8 @@ mod tests {
     fn clear_sky_monotone_in_elevation() {
         let mut prev = 0.0;
         for e in 1..=90 {
-            let g = clear_sky_ghi_w_m2(f64::from(e));
+            let e = f64::from(e);
+            let g = clear_sky_from_sin_elevation(e.to_radians().sin(), e);
             assert!(g >= prev, "elevation {e}");
             prev = g;
         }
@@ -222,16 +198,8 @@ mod tests {
 
     #[test]
     fn spring_noon_brighter_than_winter_noon() {
-        let feb = irradiance_at(
-            HELSINKI_LAT_DEG,
-            SimTime::from_ymd_hms(2010, 2, 15, 12, 0, 0),
-            0.0,
-        );
-        let may = irradiance_at(
-            HELSINKI_LAT_DEG,
-            SimTime::from_ymd_hms(2010, 5, 10, 12, 0, 0),
-            0.0,
-        );
+        let feb = irradiance(SimTime::from_ymd_hms(2010, 2, 15, 12, 0, 0), 0.0);
+        let may = irradiance(SimTime::from_ymd_hms(2010, 5, 10, 12, 0, 0), 0.0);
         assert!(may > 1.5 * feb, "feb {feb} may {may}");
     }
 }

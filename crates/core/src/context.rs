@@ -174,15 +174,13 @@ impl CampaignCtx {
         };
         let injector = FaultInjector::new(&root);
         let template = JobTemplate::build(cfg.job.clone());
-        let mut collector_rng = root.derive("collector");
-        let collector = Collector::new(&mut collector_rng);
+        let collector = Collector::new(&root.derive("collector"));
 
         let plans = FleetBuilder::from_spec(cfg.fleet).plans(cfg.start);
         let mut fleet = FleetState::with_capacity(plans.len());
         for plan in plans {
             let host_rng = root.derive(&format!("host/{}", plan.id));
-            let mut store_rng = host_rng.derive("store");
-            let store = MonitoredHost::new(plan.id, &mut store_rng, vec![collector.key.public]);
+            let store = MonitoredHost::new(plan.id);
             let mut spec = spec_for(&plan);
             if cfg.force_ecc {
                 spec.ecc = true;

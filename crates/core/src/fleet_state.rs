@@ -219,7 +219,6 @@ impl FleetState {
 mod tests {
     use super::*;
     use crate::fleet::paper_fleet;
-    use frostlab_netsim::collector::Collector;
     use frostlab_simkern::rng::Rng;
     use frostlab_workload::job::{JobConfig, JobTemplate};
 
@@ -227,14 +226,11 @@ mod tests {
         let root = Rng::new(7);
         let injector = frostlab_faults::injector::FaultInjector::new(&root);
         let template = JobTemplate::build(JobConfig::default());
-        let mut collector_rng = root.derive("collector");
-        let collector = Collector::new(&mut collector_rng);
         let plans = paper_fleet();
         let mut fleet = FleetState::with_capacity(plans.len());
         for plan in plans {
             let host_rng = root.derive(&format!("host/{}", plan.id));
-            let mut store_rng = host_rng.derive("store");
-            let store = MonitoredHost::new(plan.id, &mut store_rng, vec![collector.key.public]);
+            let store = MonitoredHost::new(plan.id);
             let spec = spec_for(&plan);
             fleet.push_host(
                 plan.clone(),

@@ -128,10 +128,6 @@ impl TraceCursors {
                     ctx.tracer.counter_add("collector.unreachable_total", 1);
                     ("unreachable", 0, 0)
                 }
-                CollectOutcome::AuthFailed(_) => {
-                    ctx.tracer.counter_add("collector.auth_failed_total", 1);
-                    ("auth-failed", 0, 0)
-                }
             };
             if emit_events {
                 let kind = match rec.kind {

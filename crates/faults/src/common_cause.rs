@@ -121,7 +121,7 @@ mod tests {
         let events = vec![
             ev(0, 1, FaultKind::TransientSystemFailure),
             ev(100, 2, FaultKind::TransientSystemFailure),
-            ev(500, 3, FaultKind::DiskFailure),
+            ev(500, 3, FaultKind::DiskPendingSector),
         ];
         let clusters = cluster_failures(&events, &DetectorConfig::default());
         assert_eq!(clusters.len(), 3);
@@ -163,7 +163,7 @@ mod tests {
     #[test]
     fn mixed_components_yield_no_single_component() {
         let events = vec![
-            ev(1, 1, FaultKind::DiskFailure),
+            ev(1, 1, FaultKind::DiskPendingSector),
             ev(2, 2, FaultKind::PsuFailure),
         ];
         let clusters = cluster_failures(&events, &DetectorConfig::default());
@@ -176,7 +176,7 @@ mod tests {
     fn chain_clustering_uses_gaps_not_total_span() {
         // Events every 5 h for 30 h: one cluster despite span > window.
         let events: Vec<FaultEvent> = (0..7)
-            .map(|i| ev(i * 5, i as u32, FaultKind::FanDegradation))
+            .map(|i| ev(i * 5, i as u32, FaultKind::DiskPendingSector))
             .collect();
         let clusters = cluster_failures(&events, &DetectorConfig::default());
         assert_eq!(clusters.len(), 1);
@@ -186,9 +186,9 @@ mod tests {
     #[test]
     fn unsorted_input_accepted() {
         let events = vec![
-            ev(50, 2, FaultKind::DiskFailure),
-            ev(1, 1, FaultKind::DiskFailure),
-            ev(2, 3, FaultKind::DiskFailure),
+            ev(50, 2, FaultKind::DiskPendingSector),
+            ev(1, 1, FaultKind::DiskPendingSector),
+            ev(2, 3, FaultKind::DiskPendingSector),
         ];
         let clusters = cluster_failures(&events, &DetectorConfig::default());
         assert_eq!(clusters.len(), 2);

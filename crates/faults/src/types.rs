@@ -14,7 +14,7 @@ impl std::fmt::Display for HostId {
     }
 }
 
-/// The kinds of faults the study observed or looked for.
+/// The kinds of faults a campaign can record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// Whole-system hang requiring a reset (§4.2.1, host #15).
@@ -25,10 +25,6 @@ pub enum FaultKind {
     MemoryBitFlip,
     /// A drive develops an unreadable sector.
     DiskPendingSector,
-    /// A drive fails outright.
-    DiskFailure,
-    /// A fan stalls or wears out.
-    FanDegradation,
     /// A PSU dies.
     PsuFailure,
     /// A network switch dies (the whiny units' inherent defect).
@@ -43,8 +39,7 @@ impl FaultKind {
             FaultKind::TransientSystemFailure => ComponentKind::Motherboard,
             FaultKind::SensorChipErratic => ComponentKind::Motherboard,
             FaultKind::MemoryBitFlip => ComponentKind::Memory,
-            FaultKind::DiskPendingSector | FaultKind::DiskFailure => ComponentKind::Disk,
-            FaultKind::FanDegradation => ComponentKind::Fan,
+            FaultKind::DiskPendingSector => ComponentKind::Disk,
             FaultKind::PsuFailure => ComponentKind::Psu,
             FaultKind::SwitchFailure => ComponentKind::Switch,
         }

@@ -6,8 +6,6 @@ use std::fmt;
 /// the "which components fail first" research question (§3, third question).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ComponentKind {
-    /// Central processor.
-    Cpu,
     /// Motherboard (including its sensor chip).
     Motherboard,
     /// A DIMM.
@@ -16,8 +14,6 @@ pub enum ComponentKind {
     Disk,
     /// Power supply unit.
     Psu,
-    /// A cooling fan.
-    Fan,
     /// A network switch.
     Switch,
 }
@@ -25,12 +21,10 @@ pub enum ComponentKind {
 impl fmt::Display for ComponentKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
-            ComponentKind::Cpu => "CPU",
             ComponentKind::Motherboard => "motherboard",
             ComponentKind::Memory => "memory",
             ComponentKind::Disk => "disk",
             ComponentKind::Psu => "PSU",
-            ComponentKind::Fan => "fan",
             ComponentKind::Switch => "switch",
         };
         write!(f, "{s}")

@@ -6,14 +6,15 @@
 //! through an OpenSSH tunnel, and new files are transferred by the rsync
 //! program."
 //!
-//! [`Collector`] mirrors each host's little log directory. A round against
-//! one host: authenticate ([`crate::auth`]), then rsync every file that
-//! grew since the last round and account the literal bytes that crossed
-//! the wire. The hosts' logs are stamped and append-only, so what rsync
-//! ships depends only on two lengths per file ([`log_delta`]). A host
-//! therefore keeps today's length and synced length of each of its two
-//! daily [`Log`]s, not the bytes, and the collector's mirror of a file is
-//! just how much of it has been synced.
+//! [`Collector`] mirrors each host's little log directory. A session is
+//! modelled by its outcome: every host accepts the collector's key, so a
+//! round against a reachable host rsyncs every file that grew since the
+//! last round and accounts the literal bytes that crossed the wire. The
+//! hosts' logs are stamped and append-only, so what rsync ships depends
+//! only on two lengths per file ([`log_delta`]). A host therefore keeps
+//! today's length and synced length of each of its two daily [`Log`]s, not
+//! the bytes, and the collector's mirror of a file is just how much of it
+//! has been synced.
 //!
 //! When a host cannot be reached (§4.2.1's switch deaths, a hung machine)
 //! the round records an [`CollectOutcome::Unreachable`] outcome carrying the
@@ -36,8 +37,6 @@ use std::collections::BTreeMap;
 
 use frostlab_simkern::rng::Rng;
 use frostlab_simkern::time::{SimDuration, SimTime};
-
-use crate::auth::{handshake, Acceptor, HandshakeResult, KeyPair};
 
 /// Block size used for rsync signatures.
 pub const RSYNC_BLOCK: usize = 512;
@@ -107,7 +106,7 @@ struct DailyFile {
     synced: usize,
 }
 
-/// A monitored host's log store plus its SSH acceptor.
+/// A monitored host's log store.
 ///
 /// The store counts bytes, and only of today's file of each [`Log`]: a
 /// file never grows once its day is over, so what rsync will ship for a
@@ -126,19 +125,16 @@ pub struct MonitoredHost {
     /// The last successful round, or the first attempt if none succeeded
     /// yet: the mirror is as fresh as this.
     fresh_since: Option<SimTime>,
-    acceptor: Acceptor,
 }
 
 impl MonitoredHost {
-    /// New host with an empty store; `authorized` is the collector's public
-    /// key (its entry in `authorized_keys`).
-    pub fn new(id: u32, rng: &mut Rng, authorized: Vec<u64>) -> Self {
+    /// New host with an empty store.
+    pub fn new(id: u32) -> Self {
         MonitoredHost {
             id,
             today: [None; 2],
             rotated: (0, 0),
             fresh_since: None,
-            acceptor: Acceptor::new(rng, authorized),
         }
     }
 
@@ -220,8 +216,6 @@ pub enum CollectOutcome {
         /// round (zero if the host has never been reached).
         gap: SimDuration,
     },
-    /// Handshake rejected.
-    AuthFailed(HandshakeResult),
 }
 
 /// Was an attempt part of the scheduled cadence or a backoff-driven retry?
@@ -257,8 +251,6 @@ pub struct CollectionCounts {
     pub retries: u64,
     /// Attempts, of either kind, that found the host unreachable.
     pub unreachable: u64,
-    /// Attempts, of either kind, whose handshake was rejected.
-    pub auth_failed: u64,
     /// Files updated by successful attempts.
     pub files: u64,
     /// Literal bytes shipped by successful attempts.
@@ -283,7 +275,6 @@ impl CollectionCounts {
                 self.literal_bytes += *literal_bytes as u64;
             }
             CollectOutcome::Unreachable { .. } => self.unreachable += 1,
-            CollectOutcome::AuthFailed(_) => self.auth_failed += 1,
         }
     }
 
@@ -354,27 +345,22 @@ struct RetryState {
 /// The monitoring host.
 #[derive(Debug)]
 pub struct Collector {
-    /// The collector's SSH identity.
-    pub key: KeyPair,
     counts: CollectionCounts,
     /// Attempts since the last [`Collector::clear_tick`].
     tick: Vec<CollectRecord>,
-    /// Root of the per-host jitter streams (derived, so creating it does not
-    /// perturb the caller's RNG draws).
+    /// Root of the per-host jitter streams.
     retry_rng: Rng,
     retries: BTreeMap<u32, RetryState>,
     gaps: Vec<CollectionGap>,
 }
 
 impl Collector {
-    /// New collector with its own keypair.
-    pub fn new(rng: &mut Rng) -> Self {
-        let retry_rng = rng.derive("retry");
+    /// New collector; its retry jitter streams derive from `rng`'s identity.
+    pub fn new(rng: &Rng) -> Self {
         Collector {
-            key: KeyPair::generate(rng),
             counts: CollectionCounts::default(),
             tick: Vec::new(),
-            retry_rng,
+            retry_rng: rng.derive("retry"),
             retries: BTreeMap::new(),
             gaps: Vec::new(),
         }
@@ -462,56 +448,44 @@ impl Collector {
         kind: AttemptKind,
     ) -> CollectOutcome {
         let fresh_since = *host.fresh_since.get_or_insert(at);
-        let outcome = if !reachable {
+        let outcome = if reachable {
+            if let Some(state) = self.retries.remove(&host.id) {
+                self.gaps.push(CollectionGap {
+                    host: host.id,
+                    start: fresh_since,
+                    end: at,
+                    failed_attempts: state.failures,
+                });
+            }
+            host.fresh_since = Some(at);
+            // rsync's quick check skips files whose size matches the mirror
+            // (the hosts' logs are append-only, so a same-size file is an
+            // unchanged file); the host's store ships exactly the rest.
+            let (files_updated, literal_bytes) = host.sync();
+            CollectOutcome::Success {
+                files_updated,
+                literal_bytes,
+            }
+        } else {
+            let retry_root = &self.retry_rng;
+            let state = self.retries.entry(host.id).or_insert_with(|| RetryState {
+                failures: 0,
+                next_attempt: at,
+                rng: retry_root.derive(&format!("host/{}", host.id)),
+            });
+            state.failures += 1;
+            let delay = retry_delay(state.failures).as_secs();
+            let span = (delay as f64 * RETRY_JITTER_FRAC) as i64;
+            let jitter = if span > 0 {
+                state.rng.range_i64(-span, span + 1)
+            } else {
+                0
+            };
+            state.next_attempt = at + SimDuration::secs((delay + jitter).max(1));
             CollectOutcome::Unreachable {
                 gap: at - fresh_since,
             }
-        } else {
-            match handshake(&self.key, &mut host.acceptor) {
-                HandshakeResult::Accepted => {
-                    // rsync's quick check skips files whose size matches
-                    // the mirror (the hosts' logs are append-only, so a
-                    // same-size file is an unchanged file); the host's
-                    // store ships exactly the rest.
-                    let (files_updated, literal_bytes) = host.sync();
-                    CollectOutcome::Success {
-                        files_updated,
-                        literal_bytes,
-                    }
-                }
-                other => CollectOutcome::AuthFailed(other),
-            }
         };
-        match &outcome {
-            CollectOutcome::Success { .. } => {
-                if let Some(state) = self.retries.remove(&host.id) {
-                    self.gaps.push(CollectionGap {
-                        host: host.id,
-                        start: fresh_since,
-                        end: at,
-                        failed_attempts: state.failures,
-                    });
-                }
-                host.fresh_since = Some(at);
-            }
-            CollectOutcome::Unreachable { .. } | CollectOutcome::AuthFailed(_) => {
-                let retry_root = &self.retry_rng;
-                let state = self.retries.entry(host.id).or_insert_with(|| RetryState {
-                    failures: 0,
-                    next_attempt: at,
-                    rng: retry_root.derive(&format!("host/{}", host.id)),
-                });
-                state.failures += 1;
-                let delay = retry_delay(state.failures).as_secs();
-                let span = (delay as f64 * RETRY_JITTER_FRAC) as i64;
-                let jitter = if span > 0 {
-                    state.rng.range_i64(-span, span + 1)
-                } else {
-                    0
-                };
-                state.next_attempt = at + SimDuration::secs((delay + jitter).max(1));
-            }
-        }
         self.counts.record(kind, &outcome);
         self.tick.push(CollectRecord {
             host: host.id,
@@ -528,10 +502,7 @@ mod tests {
     use super::*;
 
     fn setup() -> (Collector, MonitoredHost) {
-        let mut rng = Rng::new(20);
-        let collector = Collector::new(&mut rng);
-        let host = MonitoredHost::new(15, &mut rng, vec![collector.key.public]);
-        (collector, host)
+        (Collector::new(&Rng::new(20)), MonitoredHost::new(15))
     }
 
     /// A stamped md5sums line, as the campaign hosts log them.
@@ -721,10 +692,7 @@ mod tests {
     fn retry_jitter_is_deterministic_and_per_host() {
         let run = || {
             let (mut c, mut h) = setup();
-            let mut h2 = {
-                let mut rng = Rng::new(33);
-                MonitoredHost::new(3, &mut rng, vec![c.key.public])
-            };
+            let mut h2 = MonitoredHost::new(3);
             c.collect(&mut h, false, SimTime::from_secs(0));
             c.collect(&mut h2, false, SimTime::from_secs(0));
             (c.next_retry(15).unwrap(), c.next_retry(3).unwrap())
@@ -754,21 +722,6 @@ mod tests {
         // The retry record is marked as such.
         let last = c.tick_records().last().unwrap();
         assert_eq!(last.kind, AttemptKind::Retry);
-    }
-
-    #[test]
-    fn unauthorized_collector_rejected() {
-        let mut rng = Rng::new(21);
-        let mut c = Collector::new(&mut rng);
-        // Host authorizes some other key.
-        let mut h = MonitoredHost::new(3, &mut rng, vec![12345]);
-        h.append(Log::Md5sums, 0, log_line_len("data\n"));
-        let out = c.collect(&mut h, true, SimTime::from_secs(0));
-        assert_eq!(out, CollectOutcome::AuthFailed(HandshakeResult::UnknownKey));
-        assert_eq!(h.synced_len(Log::Md5sums, 0), Some(0), "nothing synced");
-        // Auth failures also enter the retry schedule (the operators would
-        // investigate, but the collector keeps knocking).
-        assert!(c.next_retry(3).is_some());
     }
 
     #[test]
@@ -881,10 +834,9 @@ mod tests {
 
     #[test]
     fn multiple_files_and_hosts() {
-        let mut rng = Rng::new(22);
-        let mut c = Collector::new(&mut rng);
-        let mut h1 = MonitoredHost::new(1, &mut rng, vec![c.key.public]);
-        let mut h2 = MonitoredHost::new(2, &mut rng, vec![c.key.public]);
+        let mut c = Collector::new(&Rng::new(22));
+        let mut h1 = MonitoredHost::new(1);
+        let mut h2 = MonitoredHost::new(2);
         h1.append(Log::Md5sums, 0, log_line_len("aaa\n"));
         h1.append(Log::Sensors, 0, log_line_len("t=-5\n"));
         h2.append(Log::Md5sums, 0, log_line_len("bbbb\n"));

@@ -69,14 +69,11 @@ pub struct SimTime(i64);
 pub struct SimDuration(i64);
 
 /// The year of the experiment epoch.
-pub const EPOCH_YEAR: i32 = 2010;
+const EPOCH_YEAR: i32 = 2010;
 
 impl SimTime {
     /// The experiment epoch: 2010-01-01 00:00:00.
     pub const ZERO: SimTime = SimTime(0);
-
-    /// Largest representable instant; useful as an "infinite" deadline.
-    pub const MAX: SimTime = SimTime(i64::MAX);
 
     /// Construct from raw seconds since the epoch.
     pub const fn from_secs(secs: i64) -> Self {
@@ -87,36 +84,20 @@ impl SimTime {
     ///
     /// # Panics
     /// Panics if the date or time is invalid — convenient for literals in
-    /// scenario code; use [`SimTime::try_from_ymd_hms`] when the fields
-    /// come from data.
+    /// scenario code; use [`DateTime::try_new`] when the fields come from
+    /// data.
     pub fn from_ymd_hms(year: i32, month: u32, day: u32, hour: u32, min: u32, sec: u32) -> Self {
-        Self::try_from_ymd_hms(year, month, day, hour, min, sec).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`SimTime::from_ymd_hms`]: reports *which* field
-    /// combination was invalid instead of panicking.
-    pub fn try_from_ymd_hms(
-        year: i32,
-        month: u32,
-        day: u32,
-        hour: u32,
-        min: u32,
-        sec: u32,
-    ) -> Result<Self, TimeError> {
-        DateTime::try_new(year, month, day, hour, min, sec).map(DateTime::to_sim_time)
+        DateTime::try_new(year, month, day, hour, min, sec)
+            .map(DateTime::to_sim_time)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Construct from a civil date at midnight.
     ///
     /// # Panics
-    /// Panics if the date is invalid (see [`SimTime::try_from_date`]).
+    /// Panics if the date is invalid (see [`Date::try_new`]).
     pub fn from_date(year: i32, month: u32, day: u32) -> Self {
         Self::from_ymd_hms(year, month, day, 0, 0, 0)
-    }
-
-    /// Fallible [`SimTime::from_date`].
-    pub fn try_from_date(year: i32, month: u32, day: u32) -> Result<Self, TimeError> {
-        Self::try_from_ymd_hms(year, month, day, 0, 0, 0)
     }
 
     /// Raw seconds since the epoch.
@@ -130,7 +111,7 @@ impl SimTime {
     }
 
     /// Seconds elapsed since local midnight, in `0..86_400`.
-    pub fn seconds_of_day(self) -> u32 {
+    fn seconds_of_day(self) -> u32 {
         self.0.rem_euclid(86_400) as u32
     }
 
@@ -191,11 +172,6 @@ impl SimDuration {
         SimDuration(d * 86_400)
     }
 
-    /// Construct from fractional hours, rounding to the nearest second.
-    pub fn hours_f64(h: f64) -> Self {
-        SimDuration((h * 3_600.0).round() as i64)
-    }
-
     /// Raw seconds.
     pub const fn as_secs(self) -> i64 {
         self.0
@@ -209,11 +185,6 @@ impl SimDuration {
     /// Duration expressed as fractional days.
     pub fn as_days_f64(self) -> f64 {
         self.0 as f64 / 86_400.0
-    }
-
-    /// True if the duration is negative.
-    pub const fn is_negative(self) -> bool {
-        self.0 < 0
     }
 }
 
@@ -310,20 +281,20 @@ pub struct DateTime {
 }
 
 /// Month names for display, January first.
-pub const MONTH_ABBREV: [&str; 12] = [
+const MONTH_ABBREV: [&str; 12] = [
     "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
 ];
 
 /// Weekday names for display, Monday first (ISO order).
-pub const WEEKDAY_ABBREV: [&str; 7] = ["Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun"];
+const WEEKDAY_ABBREV: [&str; 7] = ["Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun"];
 
 /// True if `year` is a leap year in the Gregorian calendar.
-pub fn is_leap_year(year: i32) -> bool {
+fn is_leap_year(year: i32) -> bool {
     (year % 4 == 0 && year % 100 != 0) || year % 400 == 0
 }
 
 /// Number of days in the given month of the given year.
-pub fn days_in_month(year: i32, month: u32) -> u32 {
+fn days_in_month(year: i32, month: u32) -> u32 {
     match month {
         1 | 3 | 5 | 7 | 8 | 10 | 12 => 31,
         4 | 6 | 9 | 11 => 30,
@@ -384,7 +355,7 @@ impl Date {
     }
 
     /// Date from whole days since the experiment epoch.
-    pub fn from_days_since_epoch(days: i64) -> Date {
+    fn from_days_since_epoch(days: i64) -> Date {
         let (year, month, day) = civil_from_days(days + epoch_offset_days());
         Date { year, month, day }
     }
@@ -542,7 +513,7 @@ mod tests {
 
     #[test]
     fn negative_times_before_epoch() -> Result<(), TimeError> {
-        let t = SimTime::try_from_date(2009, 12, 31)?;
+        let t = Date::try_new(2009, 12, 31)?.to_sim_time();
         assert!(t.as_secs() < 0);
         assert_eq!(t.date(), Date::try_new(2009, 12, 31)?);
         assert_eq!(t.seconds_of_day(), 0);
@@ -596,7 +567,7 @@ mod tests {
             })
         );
         assert_eq!(
-            SimTime::try_from_ymd_hms(2010, 1, 1, 24, 0, 0),
+            DateTime::try_new(2010, 1, 1, 24, 0, 0),
             Err(TimeError::InvalidTime {
                 hour: 24,
                 min: 0,

@@ -19,7 +19,7 @@
 //! | [`faults`] | Arrhenius/Peck/Coffin–Manson hazards, injection, repair policy |
 //! | [`compress`] | tar, bzip2-style block compression, MD5, `bzip2recover` |
 //! | [`workload`] | the 10-minute pack-verify load with 0–119 s jitter |
-//! | [`netsim`] | the 20-minute collection round: ssh-ish auth, rsync deltas, catch-up retries |
+//! | [`netsim`] | the 20-minute collection round: rsync deltas, gaps, catch-up retries |
 //! | [`telemetry`] | Lascar logger, Technoline meter, outlier removal |
 //! | [`energy`] | CRAC/HVAC plant, PUE, air-economizer comparison |
 //! | [`analysis`] | Wilson intervals, exposure estimates, report tables |

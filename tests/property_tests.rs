@@ -102,9 +102,8 @@ proptest! {
         // round that ships a file, the closed form must equal stock rsync
         // of the collector's copy against the host's whole file, and the
         // collector must report the sum.
-        let mut rng = Rng::new(7);
-        let mut collector = Collector::new(&mut rng);
-        let mut host = MonitoredHost::new(1, &mut rng, vec![collector.key.public]);
+        let mut collector = Collector::new(&Rng::new(7));
+        let mut host = MonitoredHost::new(1);
         // The bytes the host's counted store stands for, and the synced copy,
         // by day.
         let mut logs: BTreeMap<i64, (Vec<u8>, Vec<u8>)> = BTreeMap::new();

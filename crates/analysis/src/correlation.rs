@@ -8,7 +8,7 @@
 /// Pearson correlation coefficient of two equal-length slices.
 ///
 /// Returns `None` for fewer than two points or zero variance.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
+fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
     assert_eq!(xs.len(), ys.len(), "pearson needs aligned samples");
     let n = xs.len();
     if n < 2 {
@@ -32,7 +32,7 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
 
 /// Cross-correlation of `ys` against `xs` shifted by `lag` samples
 /// (positive lag: `ys` lags behind `xs`).
-pub fn correlation_at_lag(xs: &[f64], ys: &[f64], lag: usize) -> Option<f64> {
+fn correlation_at_lag(xs: &[f64], ys: &[f64], lag: usize) -> Option<f64> {
     if lag >= xs.len() || lag >= ys.len() {
         return None;
     }

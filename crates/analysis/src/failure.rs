@@ -10,7 +10,7 @@
 use crate::stats::wilson_interval;
 
 /// Intel's reported failure rate in the air-economizer PoC \[1\].
-pub const INTEL_ECONOMIZER_RATE: f64 = 0.0446;
+const INTEL_ECONOMIZER_RATE: f64 = 0.0446;
 
 /// A host-level failure-rate estimate.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,7 +27,7 @@ pub struct FailureRate {
 
 impl FailureRate {
     /// Compute from counts.
-    pub fn from_counts(failed_hosts: u64, total_hosts: u64) -> FailureRate {
+    fn from_counts(failed_hosts: u64, total_hosts: u64) -> FailureRate {
         let rate = if total_hosts == 0 {
             0.0
         } else {
@@ -43,7 +43,7 @@ impl FailureRate {
 
     /// Is `reference` (e.g. Intel's 4.46 %) inside our interval — the
     /// quantitative version of the paper's "comparable rate"?
-    pub fn comparable_to(&self, reference: f64) -> bool {
+    fn comparable_to(&self, reference: f64) -> bool {
         let (lo, hi) = self.interval;
         reference >= lo && reference <= hi
     }

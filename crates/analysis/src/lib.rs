@@ -11,8 +11,6 @@
 //!   "comparable rate" criterion;
 //! * [`memory_est`] — the T3 derivation: page-operation exposure → the
 //!   "one in 570 million" fault ratio;
-//! * [`survival`] — Kaplan–Meier curves and MTBF over fleet histories
-//!   (what the stochastic re-runs make possible);
 //! * [`correlation`] — Pearson and lagged cross-correlation (how closely,
 //!   and how late, the tent follows the sky);
 //! * [`report`] — plain-text tables for the reproduction binaries.
@@ -25,7 +23,6 @@ pub mod failure;
 pub mod memory_est;
 pub mod report;
 pub mod stats;
-pub mod survival;
 
 pub use report::Table;
 pub use stats::{mean, percentile, std_dev, wilson_interval, Histogram, MinMax, Welford};

@@ -38,7 +38,7 @@ impl ExposureInputs {
     }
 
     /// Estimated page operations across the campaign.
-    pub fn page_ops(&self) -> u64 {
+    fn page_ops(&self) -> u64 {
         ((self.source_dir_bytes as f64 / self.page_bytes as f64)
             * self.passes
             * self.total_cycles as f64) as u64

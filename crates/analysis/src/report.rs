@@ -33,12 +33,6 @@ impl Table {
         self
     }
 
-    /// Convenience for string-literal rows.
-    pub fn row_str(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.row(&owned)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -109,8 +103,8 @@ mod tests {
     #[test]
     fn renders_aligned() {
         let mut t = Table::new("Demo", &["host", "state"]);
-        t.row_str(&["#15", "taken indoors"]);
-        t.row_str(&["#19 (spare)", "running"]);
+        t.row(&["#15".into(), "taken indoors".into()]);
+        t.row(&["#19 (spare)".into(), "running".into()]);
         let s = t.to_string();
         assert!(s.contains("== Demo =="));
         assert!(s.contains("| host        | state         |"), "{s}");
@@ -120,7 +114,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "arity")]
     fn arity_checked() {
-        Table::new("x", &["a", "b"]).row_str(&["only-one"]);
+        Table::new("x", &["a", "b"]).row(&["only-one".into()]);
     }
 
     #[test]

@@ -39,15 +39,12 @@
 
 pub mod fastmath;
 pub mod math;
-pub mod precip;
 pub mod presets;
 pub mod psychro;
 pub mod solar;
 pub mod station;
 pub mod weather;
 
-pub use psychro::{
-    absolute_humidity_g_m3, dew_point_c, rel_humidity_from_dew_point, saturation_vapor_pressure_hpa,
-};
+pub use psychro::{dew_point_c, rel_humidity_from_dew_point};
 pub use station::{StationConfig, WeatherObservation, WeatherStation};
 pub use weather::{ClimateParams, WeatherModel, WeatherSample};

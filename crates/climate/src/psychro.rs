@@ -26,13 +26,13 @@ const MAGNUS_ICE: (f64, f64, f64) = (6.1121, 22.587, 273.86);
 /// The Magnus exponential runs on [`crate::fastmath::exp`] (relative error
 /// ≤ 1e-11): this function sits on the weather generator's per-sample hot
 /// path and on the tent/condensation paths of every tick.
-pub fn saturation_vapor_pressure_hpa(t_c: f64) -> f64 {
+fn saturation_vapor_pressure_hpa(t_c: f64) -> f64 {
     let (a, b, c) = if t_c >= 0.0 { MAGNUS_WATER } else { MAGNUS_ICE };
     a * crate::fastmath::exp((b * t_c) / (c + t_c))
 }
 
 /// Actual vapor pressure in hPa given temperature and relative humidity.
-pub fn vapor_pressure_hpa(t_c: f64, rh_pct: f64) -> f64 {
+fn vapor_pressure_hpa(t_c: f64, rh_pct: f64) -> f64 {
     saturation_vapor_pressure_hpa(t_c) * clamp(rh_pct, 0.0, 100.0) / 100.0
 }
 
@@ -99,7 +99,7 @@ pub fn dew_point_fast_c(t_c: f64, rh_pct: f64) -> f64 {
 /// [`crate::fastmath::exp`] (the weather generator calls this per tick):
 /// `100·(a₁/a₂)·exp(b₁·dp/(c₁+dp) − b₂·t/(c₂+t))`, with each branch's
 /// coefficients picked by the sign of its own temperature as in
-/// [`saturation_vapor_pressure_hpa`].
+/// `saturation_vapor_pressure_hpa`.
 pub fn rel_humidity_from_dew_point(t_c: f64, dp_c: f64) -> f64 {
     let (a1, b1, c1) = if dp_c >= 0.0 {
         MAGNUS_WATER
@@ -110,21 +110,6 @@ pub fn rel_humidity_from_dew_point(t_c: f64, dp_c: f64) -> f64 {
     let ratio =
         (a1 / a2) * crate::fastmath::exp((b1 * dp_c) / (c1 + dp_c) - (b2 * t_c) / (c2 + t_c));
     clamp(100.0 * ratio, 0.0, 100.0)
-}
-
-/// Absolute humidity in g/m³ (mass of water vapor per volume of moist air).
-///
-/// Ideal-gas form: `AH = e / (R_v · T)` with `R_v` = 461.5 J/(kg·K).
-pub fn absolute_humidity_g_m3(t_c: f64, rh_pct: f64) -> f64 {
-    let e_pa = vapor_pressure_hpa(t_c, rh_pct) * 100.0;
-    let t_k = t_c + 273.15;
-    e_pa / (461.5 * t_k) * 1000.0
-}
-
-/// Mixing ratio in g of water vapor per kg of dry air at pressure `p_hpa`.
-pub fn mixing_ratio_g_kg(t_c: f64, rh_pct: f64, p_hpa: f64) -> f64 {
-    let e = vapor_pressure_hpa(t_c, rh_pct);
-    622.0 * e / (p_hpa - e)
 }
 
 /// Relative humidity of an air parcel after it is heated from `t_out` to
@@ -222,16 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn absolute_humidity_reference() {
-        // Saturated air at 20 °C holds ≈ 17.3 g/m³.
-        let ah = absolute_humidity_g_m3(20.0, 100.0);
-        assert!((ah - 17.3).abs() < 0.5, "{ah}");
-        // At −20 °C it is tiny, ≈ 0.9 g/m³ (over ice).
-        let ah_cold = absolute_humidity_g_m3(-20.0, 100.0);
-        assert!((0.5..1.4).contains(&ah_cold), "{ah_cold}");
-    }
-
-    #[test]
     fn heating_lowers_rh() {
         // Outside −10 °C, RH 90 %; warmed to +5 °C inside a case.
         let rh_in = rh_after_heating(-10.0, 90.0, 5.0);
@@ -254,12 +229,6 @@ mod tests {
         let safe = condensation_risk(-10.0, 90.0, 2.0);
         assert!(!safe.condenses);
         assert!(safe.margin_k > 5.0);
-    }
-
-    #[test]
-    fn mixing_ratio_sane() {
-        let w = mixing_ratio_g_kg(20.0, 50.0, 1013.25);
-        assert!((7.0..8.0).contains(&w), "{w}"); // ≈ 7.3 g/kg
     }
 
     #[test]

@@ -116,21 +116,6 @@ impl WeatherStation {
         self.next_due += self.config.interval;
         Some(obs)
     }
-
-    /// Convenience: observe the model over a whole window.
-    pub fn record_window(
-        &mut self,
-        model: &mut WeatherModel,
-        end: SimTime,
-    ) -> Vec<WeatherObservation> {
-        let mut out = Vec::new();
-        while self.next_due <= end {
-            let truth = model.sample_at(self.next_due);
-            out.push(self.observe(&truth));
-            self.next_due += self.config.interval;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -146,6 +131,15 @@ mod tests {
             &Rng::new(31),
         );
         (model, station)
+    }
+
+    /// Every observation due up to `end`.
+    fn record_window(
+        st: &mut WeatherStation,
+        model: &mut WeatherModel,
+        end: SimTime,
+    ) -> Vec<WeatherObservation> {
+        std::iter::from_fn(|| st.poll(model, end)).collect()
     }
 
     #[test]
@@ -165,7 +159,7 @@ mod tests {
     fn record_window_counts() {
         let (mut model, mut st) = setup();
         let end = SimTime::from_date(2010, 2, 1) + SimDuration::hours(2);
-        let obs = st.record_window(&mut model, end);
+        let obs = record_window(&mut st, &mut model, end);
         assert_eq!(obs.len(), 13); // 0..=120 min every 10 min
     }
 
@@ -173,7 +167,7 @@ mod tests {
     fn observations_track_truth() {
         let (mut model, mut st) = setup();
         let end = SimTime::from_date(2010, 2, 3);
-        let obs = st.record_window(&mut model, end);
+        let obs = record_window(&mut st, &mut model, end);
         // Instrument noise is small: successive obs shouldn't stray far from
         // a fresh model's truth at the same instants (same seed ⇒ same truth).
         let mut model2 = WeatherModel::new(presets::helsinki_winter_2010(), 31);
@@ -189,7 +183,7 @@ mod tests {
     fn deterministic_observations() {
         let run = || {
             let (mut model, mut st) = setup();
-            st.record_window(&mut model, SimTime::from_date(2010, 2, 2))
+            record_window(&mut st, &mut model, SimTime::from_date(2010, 2, 2))
         };
         assert_eq!(run(), run());
     }

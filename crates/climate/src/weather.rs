@@ -433,11 +433,6 @@ impl WeatherModel {
         m
     }
 
-    /// The climate parameters this model was built with.
-    pub fn params(&self) -> &ClimateParams {
-        &self.params
-    }
-
     /// Precompute the per-campaign state so the sampling hot loop runs pure
     /// table lookups plus one OU tick: tabulates the deterministic skeleton
     /// for `[start, end]` and advances the OU residuals from the epoch to

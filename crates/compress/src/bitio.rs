@@ -70,26 +70,16 @@ impl<'a> BitReader<'a> {
         self.pos_bits += 1;
         Some(bit)
     }
-
-    /// Read `count` bits as an MSB-first integer; `None` if data runs out.
-    pub fn read_bits(&mut self, count: u8) -> Option<u32> {
-        assert!(count <= 32);
-        let mut v = 0u32;
-        for _ in 0..count {
-            v = (v << 1) | u32::from(self.read_bit()?);
-        }
-        Some(v)
-    }
-
-    /// Number of bits consumed so far.
-    pub fn position_bits(&self) -> u64 {
-        self.pos_bits
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Read `count` bits as an MSB-first integer; `None` if data runs out.
+    fn read_bits(r: &mut BitReader<'_>, count: u8) -> Option<u32> {
+        (0..count).try_fold(0u32, |v, _| Some((v << 1) | u32::from(r.read_bit()?)))
+    }
 
     #[test]
     fn roundtrip_various_widths() {
@@ -108,7 +98,7 @@ mod tests {
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
         for (v, n) in values {
-            assert_eq!(r.read_bits(n), Some(v), "width {n}");
+            assert_eq!(read_bits(&mut r, n), Some(v), "width {n}");
         }
     }
 
@@ -143,15 +133,8 @@ mod tests {
     fn reader_end_of_data() {
         let bytes = [0xFFu8];
         let mut r = BitReader::new(&bytes);
-        assert_eq!(r.read_bits(8), Some(0xFF));
+        assert_eq!(read_bits(&mut r, 8), Some(0xFF));
         assert_eq!(r.read_bit(), None);
-        assert_eq!(r.read_bits(1), None);
-    }
-
-    #[test]
-    fn zero_bit_read() {
-        let mut r = BitReader::new(&[0xAA]);
-        assert_eq!(r.read_bits(0), Some(0));
-        assert_eq!(r.position_bits(), 0);
+        assert_eq!(read_bits(&mut r, 1), None);
     }
 }

@@ -26,7 +26,7 @@ fn table() -> &'static [u32; 256] {
 
 /// Streaming CRC-32 state.
 #[derive(Debug, Clone)]
-pub struct Crc32 {
+struct Crc32 {
     state: u32,
 }
 

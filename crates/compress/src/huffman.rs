@@ -3,13 +3,13 @@
 //! The encoder builds optimal code lengths from symbol frequencies (heap
 //! merge), converts them to canonical form, and the block container stores
 //! only the 256 code lengths — the decoder rebuilds the identical codebook.
-//! Code lengths are capped at [`MAX_CODE_LEN`] bits by frequency flattening,
+//! Code lengths are capped at 24 bits by frequency flattening,
 //! keeping both the bit I/O and the table-walk decoder simple and bounded.
 
 use crate::bitio::{BitReader, BitWriter};
 
 /// Maximum codeword length in bits.
-pub const MAX_CODE_LEN: u8 = 24;
+const MAX_CODE_LEN: u8 = 24;
 
 /// Errors from Huffman decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +34,7 @@ impl std::fmt::Display for HuffError {
 
 impl std::error::Error for HuffError {}
 
-/// Compute optimal code lengths (≤ [`MAX_CODE_LEN`]) for the given symbol
+/// Compute optimal code lengths (≤ 24 bits) for the given symbol
 /// frequencies. Symbols with zero frequency get length 0 (no code).
 ///
 /// If only one symbol occurs it is assigned length 1.
@@ -134,7 +134,7 @@ fn tree_depths(freqs: &[u64]) -> Vec<u8> {
 ///
 /// Returns `None` if the lengths violate Kraft's inequality or exceed
 /// [`MAX_CODE_LEN`].
-pub fn canonical_codes(lengths: &[u8; 256]) -> Option<[(u32, u8); 256]> {
+fn canonical_codes(lengths: &[u8; 256]) -> Option<[(u32, u8); 256]> {
     let mut kraft: u64 = 0;
     let mut count_per_len = [0u32; MAX_CODE_LEN as usize + 1];
     for &l in lengths.iter() {

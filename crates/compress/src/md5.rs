@@ -72,12 +72,6 @@ impl Md5 {
         }
         out
     }
-
-    /// Finish and return the digest as a lowercase hex string, as `md5sum`
-    /// prints it.
-    pub fn finalize_hex(self) -> String {
-        to_hex(&self.finalize())
-    }
 }
 
 impl Default for Md5 {

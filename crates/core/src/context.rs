@@ -281,7 +281,7 @@ impl CampaignCtx {
     }
 
     /// Append a fault event to the campaign ledger.
-    pub fn record_fault(&mut self, at: SimTime, host: u32, kind: FaultKind) {
+    fn record_fault(&mut self, at: SimTime, host: u32, kind: FaultKind) {
         self.fault_events.push(FaultEvent {
             at,
             host: HostId(host),
@@ -400,11 +400,6 @@ impl CampaignCtx {
                     chaos.loss_prob = loss;
                 }
             }
-            // Jitter only delays delivery, and the 20-minute cadence dwarfs
-            // any per-hop delay, so a jitter burst changes nothing a campaign
-            // records. The chaos engine still draws it, so the events after
-            // it keep their place in the schedule.
-            ChaosEvent::JitterBurst { .. } => {}
             ChaosEvent::SwitchDeath { switch } => {
                 if !self.switch_up[switch] {
                     return; // already dead

@@ -122,7 +122,7 @@ pub enum FleetSpec {
 
 /// Hosts per enclosure zone in generated fleets — the paper's tent held
 /// nine machines, so generated tents and basement rooms do too.
-pub const HOSTS_PER_ZONE: u32 = 9;
+const HOSTS_PER_ZONE: u32 = 9;
 
 /// Emits host plans for a [`FleetSpec`].
 ///
@@ -131,7 +131,7 @@ pub const HOSTS_PER_ZONE: u32 = 9;
 /// vendor B — the defective SFF series — and four vendor C) across the
 /// fleet, installs everything at campaign start, places odd ids in tents
 /// and even ids in basement rooms (pairwise twins like the paper), and
-/// assigns [`HOSTS_PER_ZONE`] machines per thermal zone. No randomness is
+/// assigns nine machines per thermal zone. No randomness is
 /// drawn: the roster is a pure function of the spec.
 #[derive(Debug, Clone)]
 pub struct FleetBuilder {
@@ -139,28 +139,9 @@ pub struct FleetBuilder {
 }
 
 impl FleetBuilder {
-    /// The paper's 19-host roster.
-    pub fn paper() -> Self {
-        FleetBuilder {
-            spec: FleetSpec::Paper,
-        }
-    }
-
-    /// A generated vendor-mix fleet of `hosts` machines.
-    pub fn vendor_mix(hosts: u32) -> Self {
-        FleetBuilder {
-            spec: FleetSpec::VendorMix { hosts },
-        }
-    }
-
     /// Builder for an arbitrary spec.
     pub fn from_spec(spec: FleetSpec) -> Self {
         FleetBuilder { spec }
-    }
-
-    /// The spec this builder emits.
-    pub fn spec(&self) -> FleetSpec {
-        self.spec
     }
 
     /// Emit the host plans. `start` is the campaign start (generated
@@ -263,7 +244,7 @@ impl Default for SwitchFailoverPolicy {
 impl SwitchFailoverPolicy {
     /// When a switch that died at `failed_at` comes back, if a spare is
     /// available: the next operator inspection window plus the swap time.
-    pub fn restore_time(&self, failed_at: SimTime) -> SimTime {
+    fn restore_time(&self, failed_at: SimTime) -> SimTime {
         HostRecord::next_inspection(failed_at) + self.swap_time
     }
 
@@ -475,7 +456,8 @@ mod tests {
 
     #[test]
     fn paper_builder_is_byte_identical_to_paper_fleet() {
-        let via_builder = FleetBuilder::paper().plans(SimTime::from_date(2010, 2, 12));
+        let via_builder =
+            FleetBuilder::from_spec(FleetSpec::Paper).plans(SimTime::from_date(2010, 2, 12));
         let direct = paper_fleet();
         assert_eq!(via_builder.len(), direct.len());
         for (a, b) in via_builder.iter().zip(&direct) {
@@ -493,7 +475,7 @@ mod tests {
     #[test]
     fn vendor_mix_fleet_shape() {
         let start = SimTime::from_date(2010, 2, 12);
-        let fleet = FleetBuilder::vendor_mix(1000).plans(start);
+        let fleet = FleetBuilder::from_spec(FleetSpec::VendorMix { hosts: 1000 }).plans(start);
         assert_eq!(fleet.len(), 1000);
         // Composition repeats the paper's 10:5:4 vendor split.
         let count = |v: Vendor| fleet.iter().filter(|h| h.vendor == v).count();
@@ -524,8 +506,8 @@ mod tests {
     #[test]
     fn vendor_mix_is_deterministic_and_prefix_stable() {
         let start = SimTime::from_date(2010, 2, 12);
-        let small = FleetBuilder::vendor_mix(100).plans(start);
-        let large = FleetBuilder::vendor_mix(200).plans(start);
+        let small = FleetBuilder::from_spec(FleetSpec::VendorMix { hosts: 100 }).plans(start);
+        let large = FleetBuilder::from_spec(FleetSpec::VendorMix { hosts: 200 }).plans(start);
         for (a, b) in small.iter().zip(&large) {
             assert_eq!(a.id, b.id);
             assert_eq!(a.vendor, b.vendor);

@@ -48,10 +48,10 @@ use frostlab_workload::stats::Placement;
 use crate::fleet::HostPlan;
 
 /// Every machine starts its life at the February install temperature.
-pub const INITIAL_CHASSIS_C: f64 = 18.0;
+const INITIAL_CHASSIS_C: f64 = 18.0;
 
 /// The chassis thermal parameters for a vendor's form factor.
-pub fn thermal_params(vendor: Vendor) -> ServerThermalParams {
+fn thermal_params(vendor: Vendor) -> ServerThermalParams {
     match vendor {
         Vendor::A => ServerThermalParams::vendor_a_tower(),
         Vendor::B => ServerThermalParams::vendor_b_sff(),
@@ -176,7 +176,7 @@ impl FleetState {
 
     /// Add one host in fleet-plan order, returning its dense index. The
     /// machine comes up exactly like the old `HostSim` literal did: running,
-    /// chassis at [`INITIAL_CHASSIS_C`], first run and sensor log due at its
+    /// chassis at 18 °C, first run and sensor log due at its
     /// install time.
     pub fn push_host(
         &mut self,

@@ -47,7 +47,7 @@ use crate::watchdog::Subject;
 /// scenario steps every phase once per tick, in pipeline order.
 pub trait TickPhase {
     /// Stable phase name, used by the builder to address phases for
-    /// `replace`/`insert_before`/`wrap`.
+    /// `insert_after`/`replace`/`remove`.
     fn name(&self) -> &str;
 
     /// Advance this substrate by one tick at `ctx.now`.
@@ -313,7 +313,7 @@ impl ScriptPhase {
 
     /// A custom script. Events must be sorted by due time; each fires on
     /// the first tick at or after it.
-    pub fn with_events(events: Vec<(SimTime, ScriptedEvent)>) -> ScriptPhase {
+    fn with_events(events: Vec<(SimTime, ScriptedEvent)>) -> ScriptPhase {
         ScriptPhase { events, next: 0 }
     }
 }

@@ -150,7 +150,7 @@ impl ExperimentResults {
     }
 
     /// The incident ledger in its machine-readable form.
-    pub fn incident_log(&self) -> Vec<IncidentRecord> {
+    fn incident_log(&self) -> Vec<IncidentRecord> {
         self.incidents.iter().map(IncidentRecord::from).collect()
     }
 

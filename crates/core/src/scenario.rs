@@ -1,9 +1,9 @@
 //! Composing campaigns out of [`TickPhase`]s.
 //!
 //! [`ScenarioBuilder::paper`] assembles the stock seven-phase pipeline
-//! that reproduces the paper's campaign; `insert_before` / `insert_after`
-//! / `replace` / `remove` / `wrap` then let a what-if study restructure
-//! the pipeline without forking the orchestrator:
+//! that reproduces the paper's campaign; `push` / `insert_after` /
+//! `replace` / `remove` then let a what-if study restructure the pipeline
+//! without forking the orchestrator:
 //!
 //! ```no_run
 //! use frostlab_core::config::ExperimentConfig;
@@ -64,7 +64,7 @@ impl ScenarioBuilder {
 
     /// A pipeline with no phases — the campaign state exists but nothing
     /// steps it. Push phases to build a scenario from scratch.
-    pub fn empty(cfg: ExperimentConfig) -> ScenarioBuilder {
+    fn empty(cfg: ExperimentConfig) -> ScenarioBuilder {
         ScenarioBuilder {
             ctx: CampaignCtx::new(cfg),
             phases: Vec::new(),
@@ -77,24 +77,13 @@ impl ScenarioBuilder {
     }
 
     /// Current phase names, in pipeline order.
-    pub fn phase_names(&self) -> Vec<String> {
+    fn phase_names(&self) -> Vec<String> {
         self.phases.iter().map(|p| p.name().to_string()).collect()
     }
 
     /// Append a phase at the end of the pipeline.
     pub fn push(mut self, phase: Box<dyn TickPhase>) -> ScenarioBuilder {
         self.phases.push(phase);
-        self
-    }
-
-    /// Insert a phase immediately before the named one.
-    ///
-    /// # Panics
-    /// Panics if no phase has that name — a misaddressed pipeline edit is
-    /// a scenario-definition bug, not a runtime condition.
-    pub fn insert_before(mut self, name: &str, phase: Box<dyn TickPhase>) -> ScenarioBuilder {
-        let idx = self.index_of(name);
-        self.phases.insert(idx, phase);
         self
     }
 
@@ -129,31 +118,13 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Wrap the named phase in a decorator (the wrapper decides whether
-    /// and how to delegate — timing probes, conditional skips, tracing).
-    ///
-    /// # Panics
-    /// Panics if no phase has that name.
-    pub fn wrap(
-        mut self,
-        name: &str,
-        wrapper: impl FnOnce(Box<dyn TickPhase>) -> Box<dyn TickPhase>,
-    ) -> ScenarioBuilder {
-        let idx = self.index_of(name);
-        // Placeholder swap: `WeatherPhase` stands in while the real phase
-        // moves through the wrapper.
-        let inner = std::mem::replace(&mut self.phases[idx], Box::new(WeatherPhase::new()));
-        self.phases[idx] = wrapper(inner);
-        self
-    }
-
     /// Wrap *every* phase in a [`TimingProbe`] so
     /// [`Scenario::run_with_timings`] can report the per-phase wall-clock
     /// breakdown.
     ///
-    /// Phases that already report a timing (e.g. one manually wrapped via
-    /// [`ScenarioBuilder::wrap`]) are left alone, so the phase is metered
-    /// exactly once under its own name.
+    /// Phases that already report a timing (e.g. a [`TimingProbe`] put in
+    /// by hand with [`ScenarioBuilder::replace`]) are left alone, so the
+    /// phase is metered exactly once under its own name.
     pub fn with_timing(mut self) -> ScenarioBuilder {
         self.phases = self
             .phases
@@ -301,8 +272,8 @@ mod tests {
     #[test]
     fn builder_edits_address_phases_by_name() {
         let b = ScenarioBuilder::paper(ExperimentConfig::short(1, 3))
-            .insert_before(
-                "host-step",
+            .insert_after(
+                "script",
                 Box::new(CountingPhase {
                     name: "pre-host",
                     steps: 0,
@@ -365,23 +336,14 @@ mod tests {
     }
 
     #[test]
-    fn wrap_decorates_a_single_phase() {
-        let (_, timings) = ScenarioBuilder::paper(ExperimentConfig::short(4, 2))
-            .wrap("collection", |inner| Box::new(TimingProbe::new(inner)))
-            .build()
-            .run_with_timings();
-        assert_eq!(timings.len(), 1);
-        assert_eq!(timings[0].phase, "collection");
-        assert!(timings[0].calls > 0);
-    }
-
-    #[test]
     fn with_timing_after_manual_wrap_does_not_double_count() {
         // The collection phase is already probed by hand; `with_timing`
         // must leave it alone instead of nesting a second probe that
         // would report the phase twice (or double its wall-clock).
-        let (_, timings) = ScenarioBuilder::paper(ExperimentConfig::short(4, 2))
-            .wrap("collection", |inner| Box::new(TimingProbe::new(inner)))
+        let cfg = ExperimentConfig::short(4, 2);
+        let probed = TimingProbe::new(Box::new(CollectionPhase::new(&cfg)));
+        let (_, timings) = ScenarioBuilder::paper(cfg)
+            .replace("collection", Box::new(probed))
             .with_timing()
             .build()
             .run_with_timings();

@@ -8,8 +8,8 @@
 //! 1. **Serialization** — a spec round-trips through JSON, so a farm can
 //!    persist a submitted matrix and a worker in another process can
 //!    rebuild the exact [`ExperimentConfig`] the submitter meant.
-//! 2. **Content hashing** — [`JobSpec::content_hash`] is a stable FNV-1a
-//!    digest of the canonical JSON, so identical jobs collide on purpose:
+//! 2. **Content hashing** — [`JobSpec::key`] is a stable FNV-1a digest
+//!    of the canonical JSON, so identical jobs collide on purpose:
 //!    a result store keyed by the hash serves repeated work from cache
 //!    instead of re-simulating it.
 //!
@@ -60,11 +60,11 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// Climate preset names resolvable by [`climate_preset`].
+/// Climate preset names a [`JobSpec`] may name.
 pub const CLIMATE_PRESETS: [&str; 3] = ["helsinki", "new-mexico", "north-east-england"];
 
 /// Resolve a climate preset by its stable name.
-pub fn climate_preset(name: &str) -> Option<ClimateParams> {
+fn climate_preset(name: &str) -> Option<ClimateParams> {
     match name {
         "helsinki" => Some(presets::helsinki_winter_2010()),
         "new-mexico" => Some(presets::new_mexico()),
@@ -98,7 +98,7 @@ pub struct ScenarioSpec {
     pub poison: bool,
     /// Fleet size: `0` runs the paper's 19 machines; `n > 0` runs a
     /// generated vendor-mix fleet of `n` hosts (see
-    /// [`crate::fleet::FleetBuilder::vendor_mix`]). Skipped from the
+    /// [`crate::fleet::FleetSpec::VendorMix`]). Skipped from the
     /// canonical JSON when zero so every pre-existing spec keeps its
     /// content hash.
     #[serde(default, skip_serializing_if = "is_zero")]
@@ -193,20 +193,20 @@ impl ScenarioSpec {
 /// Tick at which a poison scenario's [`PanicPhase`] detonates — late
 /// enough that the job visibly starts, early enough that retries are
 /// cheap.
-pub const POISON_PANIC_TICK: u64 = 32;
+const POISON_PANIC_TICK: u64 = 32;
 
 /// A phase that panics after a fixed number of ticks — the deterministic
 /// "poison job" used to exercise retry + quarantine paths. Never part of
 /// the stock pipeline.
 #[derive(Debug)]
-pub struct PanicPhase {
+struct PanicPhase {
     ticks: u64,
     after: u64,
 }
 
 impl PanicPhase {
     /// Panic on the `after`-th call to `step` (1-based).
-    pub fn after_ticks(after: u64) -> PanicPhase {
+    fn after_ticks(after: u64) -> PanicPhase {
         PanicPhase { ticks: 0, after }
     }
 }
@@ -238,7 +238,7 @@ impl JobSpec {
     ///
     /// Identical `(scenario, seed)` pairs hash identically across
     /// processes and farm restarts — the key the result store dedups on.
-    pub fn content_hash(&self) -> Result<u64, serde_json::Error> {
+    fn content_hash(&self) -> Result<u64, serde_json::Error> {
         Ok(fnv1a(serde_json::to_string(self)?.as_bytes()))
     }
 
@@ -248,17 +248,9 @@ impl JobSpec {
     }
 }
 
-/// FNV-1a 64-bit — stable, dependency-free, and plenty for
-/// content-addressing a job universe of thousands (the same digest the
-/// golden-hash CI gate uses).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// Standard FNV-1a 64-bit — plenty for content-addressing a job universe
+/// of thousands.
+pub use frostlab_simkern::fnv1a;
 
 /// A climate × chaos × seed sweep: the farm's submission unit.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]

@@ -149,7 +149,7 @@ impl Subject {
 /// Mirror staleness beyond which a host (with no other open incident
 /// explaining it) gets a [`IncidentKind::CollectionStale`] alarm: three
 /// missed 20-minute rounds.
-pub const STALENESS_THRESHOLD: SimDuration = SimDuration::minutes(60);
+const STALENESS_THRESHOLD: SimDuration = SimDuration::minutes(60);
 
 /// Watches the campaign and keeps the incident ledger.
 #[derive(Debug)]
@@ -210,7 +210,7 @@ impl Watchdog {
 
     /// Feed the per-host staleness observed at a collection round. Opens a
     /// [`IncidentKind::CollectionStale`] incident when a host's mirror ages
-    /// past [`STALENESS_THRESHOLD`] *and* nothing else already explains it (an open
+    /// past 60 minutes *and* nothing else already explains it (an open
     /// switch or host incident covering this host); resolves the alarm when
     /// the mirror freshens again.
     pub fn observe_staleness(

@@ -15,10 +15,7 @@
 //! * [`pue`](mod@pue) — PUE arithmetic, including the legacy-load correction;
 //! * [`economizer`] — an air-side economizer model driven by the
 //!   `frostlab-climate` generators, reproducing the 40–67 % savings band
-//!   across the three study climates (T6);
-//! * [`wetside`] — the wet-side (cooling-tower) economizer from Intel's
-//!   earlier report \[2\], which the paper's §2 cites as the argued-for
-//!   alternative — wet-bulb-limited rather than dry-bulb-limited.
+//!   across the three study climates (T6).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,7 +23,6 @@
 pub mod economizer;
 pub mod plant;
 pub mod pue;
-pub mod wetside;
 
 pub use economizer::{EconomizerConfig, EconomizerReport};
 pub use plant::{CoolingPlant, CracUnit};

@@ -9,14 +9,6 @@ pub struct CracUnit {
     pub power_draw_kw: f64,
 }
 
-impl CracUnit {
-    /// Coefficient of performance implied by this unit's specs
-    /// (fan/controls only: the chilled water comes from elsewhere).
-    pub fn cop(&self) -> f64 {
-        self.cooling_capacity_kw / self.power_draw_kw
-    }
-}
-
 /// The whole cooling chain for one machine room.
 #[derive(Debug, Clone)]
 pub struct CoolingPlant {
@@ -59,11 +51,6 @@ impl CoolingPlant {
             + self.hvac_unit_kw
             + self.roof_cooler_kw
     }
-
-    /// Total CRAC cooling capacity, kW thermal.
-    pub fn cooling_capacity_kw(&self) -> f64 {
-        self.cracs.iter().map(|c| c.cooling_capacity_kw).sum()
-    }
 }
 
 #[cfg(test)]
@@ -77,14 +64,15 @@ mod tests {
         assert!((crac_total - 6.9).abs() < 1e-9, "CRACs draw {crac_total}");
         assert!((p.total_overhead_kw() - 55.4).abs() < 1e-9);
         // The CRACs can actually carry the 75 kW design load.
-        assert!(p.cooling_capacity_kw() >= 75.0);
+        let capacity: f64 = p.cracs.iter().map(|c| c.cooling_capacity_kw).sum();
+        assert!(capacity >= 75.0);
     }
 
     #[test]
     fn crac_cop_reasonable() {
         let p = CoolingPlant::department_retrofit();
         for c in &p.cracs {
-            let cop = c.cop();
+            let cop = c.cooling_capacity_kw / c.power_draw_kw;
             assert!((5.0..20.0).contains(&cop), "air-mover COP {cop}");
         }
     }

@@ -17,7 +17,7 @@
 use frostlab_obs::{AlertRecord, CampaignObs, SloAttainment};
 
 /// Schema tag embedded in every serialized ensemble alerts report.
-pub const ALERTS_SCHEMA: &str = "frostlab-ensemble-alerts/v1";
+const ALERTS_SCHEMA: &str = "frostlab-ensemble-alerts/v1";
 
 /// One campaign's alert view: the timeline plus end-of-campaign SLO
 /// attainment, tagged with the seed that produced it.
@@ -49,7 +49,7 @@ impl SeedAlerts {
 /// byte-identical across thread counts.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct EnsembleAlerts {
-    /// Schema tag ([`ALERTS_SCHEMA`]).
+    /// Schema tag (`frostlab-ensemble-alerts/v1`).
     pub schema: String,
     /// Campaigns observed.
     pub campaigns: u64,
@@ -80,15 +80,6 @@ impl EnsembleAlerts {
     /// Total alert records (fires + resolves) across the sweep.
     pub fn total_alerts(&self) -> usize {
         self.per_seed.iter().map(|s| s.alerts.len()).sum()
-    }
-
-    /// Seeds whose named SLO was *not* attained at campaign end.
-    pub fn breached_seeds(&self, slo: &str) -> Vec<u64> {
-        self.per_seed
-            .iter()
-            .filter(|s| s.slos.iter().any(|a| a.slo == slo && !a.attained))
-            .map(|s| s.seed)
-            .collect()
     }
 
     /// The whole sweep's alert timeline as deterministic JSON lines:
@@ -156,8 +147,6 @@ mod tests {
         assert_eq!(agg.campaigns, 3);
         assert_eq!(agg.total_alerts(), 6);
         assert_eq!(agg.per_seed[0].seed, 3);
-        assert_eq!(agg.breached_seeds("corruption-rate"), vec![3, 4, 5]);
-        assert!(agg.breached_seeds("dew-point-margin").is_empty());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use frostlab_analysis::stats::{Histogram, MinMax, Welford};
 use frostlab_trace::{CounterSample, HistogramSample, MetricKey, MetricsSnapshot};
 
 /// Schema tag embedded in every serialized ensemble metrics report.
-pub const METRICS_SCHEMA: &str = "frostlab-ensemble-metrics/v1";
+const METRICS_SCHEMA: &str = "frostlab-ensemble-metrics/v1";
 
 #[derive(Debug, Clone)]
 struct HistAcc {
@@ -161,7 +161,7 @@ pub struct GaugeAggregate {
 /// counts — the `thread-invariance (traced)` CI job diffs it.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct EnsembleMetrics {
-    /// Schema tag ([`METRICS_SCHEMA`]).
+    /// Schema tag (`frostlab-ensemble-metrics/v1`).
     pub schema: String,
     /// Campaigns aggregated.
     pub campaigns: u64,

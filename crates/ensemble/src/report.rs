@@ -20,7 +20,7 @@ use crate::engine::Ensemble;
 /// One campaign of the Monte-Carlo failure study, projected down to the
 /// handful of numbers the report needs.
 #[derive(Debug, Clone, Copy)]
-pub struct MonteCarloRow {
+struct MonteCarloRow {
     /// Campaign seed.
     pub seed: u64,
     /// Tent hosts with ≥1 transient failure.

@@ -65,7 +65,7 @@ impl ResultStore {
     }
 
     /// Path of the alerts sidecar for `key`.
-    pub fn alerts_path(&self, key: &str) -> PathBuf {
+    fn alerts_path(&self, key: &str) -> PathBuf {
         self.root.join(format!("{key}.alerts.json"))
     }
 

@@ -50,7 +50,7 @@ use crate::store::{write_atomic, ResultStore};
 use crate::wal::{now_unix_ms, ReplayReport, Wal, WalRecord};
 
 /// File name of the submitted matrix inside a farm directory.
-pub const MANIFEST_FILE: &str = "manifest.json";
+const MANIFEST_FILE: &str = "manifest.json";
 /// File name of the write-ahead log.
 pub const WAL_FILE: &str = "wal.log";
 /// Subdirectory holding the content-addressed result store.
@@ -195,11 +195,6 @@ impl Farm {
     /// The farm directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The submitted matrix.
-    pub fn matrix(&self) -> &MatrixSpec {
-        &self.matrix
     }
 
     /// The expanded job list, in manifest (merge) order.

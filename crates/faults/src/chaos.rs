@@ -2,8 +2,8 @@
 //!
 //! §4.2.1 happened to the authors once; this module makes it happen to the
 //! simulated pipeline on demand, and reproducibly. A [`ChaosEngine`]
-//! pre-generates a schedule of adverse events — link-loss bursts, jitter
-//! bursts, switch deaths, host hangs and reboots, sensor freezes — by
+//! pre-generates a schedule of adverse events — link-loss bursts, switch
+//! deaths, host hangs and reboots, sensor freezes — by
 //! drawing exponential interarrival times on **per-fault-class RNG streams**
 //! derived from the campaign seed. Because each class draws from its own
 //! stream ([`frostlab_simkern::rng::Rng::derive`] is draw-count
@@ -11,10 +11,10 @@
 //! timing of any other: experiments stay comparable across chaos settings.
 //!
 //! The engine is pure data + RNG; *applying* the events (taking a switch
-//! down, hanging a host) is the orchestrator's job. With every rate at zero
-//! (the [`ChaosConfig::off`] config) the engine draws nothing and schedules
-//! nothing, so a chaos-disabled campaign is bit-identical to one built
-//! before this module existed.
+//! down, hanging a host) is the orchestrator's job. A class whose rate is
+//! zero draws nothing and schedules nothing, and a campaign without a
+//! [`ChaosConfig`] builds no engine at all, so it is bit-identical to one
+//! built before this module existed.
 
 use frostlab_simkern::rng::Rng;
 use frostlab_simkern::time::{SimDuration, SimTime};
@@ -29,12 +29,6 @@ pub struct ChaosConfig {
     pub link_loss_burst: SimDuration,
     /// Probability a collection attempt fails during a loss burst.
     pub link_loss_prob: f64,
-    /// Mean time between jitter bursts (delay inflation on the fabric).
-    pub jitter_every: SimDuration,
-    /// How long a jitter burst lasts.
-    pub jitter_burst: SimDuration,
-    /// Extra per-hop delay ceiling during a jitter burst.
-    pub jitter_max: SimDuration,
     /// Mean time between switch deaths.
     pub switch_death_every: SimDuration,
     /// Mean time between host hangs (per fleet, not per host).
@@ -46,22 +40,6 @@ pub struct ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// Everything disabled: generates no events and draws no randomness.
-    pub fn off() -> Self {
-        ChaosConfig {
-            link_loss_every: SimDuration::ZERO,
-            link_loss_burst: SimDuration::ZERO,
-            link_loss_prob: 0.0,
-            jitter_every: SimDuration::ZERO,
-            jitter_burst: SimDuration::ZERO,
-            jitter_max: SimDuration::ZERO,
-            switch_death_every: SimDuration::ZERO,
-            host_hang_every: SimDuration::ZERO,
-            host_reboot_every: SimDuration::ZERO,
-            sensor_freeze_every: SimDuration::ZERO,
-        }
-    }
-
     /// A mildly hostile campaign: a few bursts a week, roughly one switch
     /// death a month, occasional host trouble — §4.2.1 levels of adversity.
     pub fn paper_like() -> Self {
@@ -69,9 +47,6 @@ impl ChaosConfig {
             link_loss_every: SimDuration::days(2),
             link_loss_burst: SimDuration::hours(2),
             link_loss_prob: 0.6,
-            jitter_every: SimDuration::days(3),
-            jitter_burst: SimDuration::hours(4),
-            jitter_max: SimDuration::secs(2),
             switch_death_every: SimDuration::days(30),
             host_hang_every: SimDuration::days(20),
             host_reboot_every: SimDuration::days(25),
@@ -87,13 +62,6 @@ pub enum ChaosEvent {
     LinkLossBurst {
         /// Per-attempt failure probability while the burst lasts.
         loss: f64,
-        /// Burst length.
-        duration: SimDuration,
-    },
-    /// The fabric starts delaying traffic.
-    JitterBurst {
-        /// Extra per-hop delay ceiling.
-        jitter: SimDuration,
         /// Burst length.
         duration: SimDuration,
     },
@@ -169,12 +137,6 @@ impl ChaosEngine {
             Some(ChaosEvent::LinkLossBurst {
                 loss: cfg.link_loss_prob,
                 duration: cfg.link_loss_burst,
-            })
-        });
-        sweep("jitter", cfg.jitter_every, &mut schedule, &mut |_| {
-            Some(ChaosEvent::JitterBurst {
-                jitter: cfg.jitter_max,
-                duration: cfg.jitter_burst,
             })
         });
         sweep(
@@ -265,13 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn off_config_schedules_nothing() {
-        let rng = Rng::new(7);
-        let engine = ChaosEngine::generate(&ChaosConfig::off(), window(), &[1, 2, 3], 2, &rng);
-        assert!(engine.is_empty());
-    }
-
-    #[test]
     fn paper_like_config_populates_every_class() {
         let rng = Rng::new(7);
         let engine = ChaosEngine::generate(
@@ -284,7 +239,6 @@ mod tests {
         assert!(engine.len() > 10, "90 hostile days should be eventful");
         let has = |f: &dyn Fn(&ChaosEvent) -> bool| engine.schedule().iter().any(|(_, e)| f(e));
         assert!(has(&|e| matches!(e, ChaosEvent::LinkLossBurst { .. })));
-        assert!(has(&|e| matches!(e, ChaosEvent::JitterBurst { .. })));
         assert!(has(&|e| matches!(e, ChaosEvent::SwitchDeath { .. })));
         assert!(has(&|e| matches!(e, ChaosEvent::HostHang { .. })));
         assert!(has(&|e| matches!(e, ChaosEvent::SensorFreeze { .. })));

@@ -188,11 +188,6 @@ impl CyclingFatigue {
     pub fn damage(&self) -> f64 {
         self.damage
     }
-
-    /// Number of half-cycles counted.
-    pub fn half_cycles(&self) -> u64 {
-        self.cycle_count
-    }
 }
 
 #[cfg(test)]
@@ -278,7 +273,7 @@ mod tests {
             // Walk there in small steps to simulate a real trace.
             f.observe(t);
         }
-        assert!(f.half_cycles() >= 3, "half cycles {}", f.half_cycles());
+        assert!(f.cycle_count >= 3, "half cycles {}", f.cycle_count);
         // Each 20 K half-swing adds 0.5 damage at exponent 2, ref 20.
         assert!(f.damage() > 1.0, "damage {}", f.damage());
     }

@@ -245,11 +245,6 @@ impl HostFaults {
         self.fatigue_billed = self.fatigue.damage();
         unbilled * FATIGUE_PROB_PER_UNIT
     }
-
-    /// Accumulated thermal-cycling damage (diagnostics).
-    pub fn fatigue_damage(&self) -> f64 {
-        self.fatigue.damage()
-    }
 }
 
 /// Factory for per-host samplers, all derived from one experiment seed.
@@ -611,7 +606,7 @@ mod tests {
             let t = if i % 2 == 0 { -10.0 } else { 40.0 };
             h.poll(1.0, t, 50.0, 0);
         }
-        assert!(h.fatigue_damage() > 100.0, "damage {}", h.fatigue_damage());
+        assert!(h.fatigue.damage() > 100.0, "damage {}", h.fatigue.damage());
     }
 
     #[test]

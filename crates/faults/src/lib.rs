@@ -1,7 +1,7 @@
 //! # frostlab-faults
 //!
 //! Reliability substrate: hazard models, fault injection, repair policy and
-//! common-cause analysis.
+//! chaos injection.
 //!
 //! The paper's research questions (§3) are reliability questions:
 //!
@@ -22,14 +22,14 @@
 //!   documented faults;
 //! * [`repair`] — the operators' observed repair policy (inspect on the next
 //!   visit, reset once, take indoors after a repeat failure, replace);
-//! * [`common_cause`] — clustering detector for near-simultaneous failures
-//!   across hosts.
+//! * [`chaos`] — a reproducible schedule of adverse events (link-loss
+//!   bursts, switch deaths, host hangs and reboots, sensor freezes) for
+//!   the collection pipeline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chaos;
-pub mod common_cause;
 pub mod hazard;
 pub mod injector;
 pub mod repair;

@@ -1,6 +1,5 @@
 //! Fault vocabulary shared across the platform.
 
-use frostlab_hardware::component::ComponentKind;
 use frostlab_simkern::time::SimTime;
 
 /// Identifier of a host in the fleet (the paper numbers them 1–19; the
@@ -31,29 +30,6 @@ pub enum FaultKind {
     SwitchFailure,
 }
 
-impl FaultKind {
-    /// The component class this fault belongs to (for the "which component
-    /// fails first" analysis).
-    pub fn component(self) -> ComponentKind {
-        match self {
-            FaultKind::TransientSystemFailure => ComponentKind::Motherboard,
-            FaultKind::SensorChipErratic => ComponentKind::Motherboard,
-            FaultKind::MemoryBitFlip => ComponentKind::Memory,
-            FaultKind::DiskPendingSector => ComponentKind::Disk,
-            FaultKind::PsuFailure => ComponentKind::Psu,
-            FaultKind::SwitchFailure => ComponentKind::Switch,
-        }
-    }
-
-    /// Does this fault stop the host's workload?
-    pub fn is_outage(self) -> bool {
-        matches!(
-            self,
-            FaultKind::TransientSystemFailure | FaultKind::PsuFailure
-        )
-    }
-}
-
 /// One concrete fault occurrence.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
@@ -68,24 +44,6 @@ pub struct FaultEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn component_mapping() {
-        assert_eq!(FaultKind::MemoryBitFlip.component(), ComponentKind::Memory);
-        assert_eq!(FaultKind::SwitchFailure.component(), ComponentKind::Switch);
-        assert_eq!(
-            FaultKind::TransientSystemFailure.component(),
-            ComponentKind::Motherboard
-        );
-    }
-
-    #[test]
-    fn outage_classification() {
-        assert!(FaultKind::TransientSystemFailure.is_outage());
-        assert!(FaultKind::PsuFailure.is_outage());
-        assert!(!FaultKind::MemoryBitFlip.is_outage());
-        assert!(!FaultKind::SensorChipErratic.is_outage());
-    }
 
     #[test]
     fn host_display() {

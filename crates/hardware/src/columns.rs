@@ -88,11 +88,6 @@ impl HostBank {
 
     // --- run state ---
 
-    /// Current power state of host `i`.
-    pub fn power_state(&self, i: usize) -> PowerState {
-        self.power_state[i]
-    }
-
     /// True if host `i` is executing its workload.
     pub fn is_running(&self, i: usize) -> bool {
         self.power_state[i] == PowerState::Running
@@ -360,7 +355,7 @@ mod tests {
         assert_eq!(hung, bank.wall_power_w(0, 0.0), "a hung host idles");
         bank.power_off(0);
         assert_eq!(bank.wall_power_w(0, 1.0), 0.0);
-        assert_eq!(bank.power_state(0), PowerState::Off);
+        assert_eq!(bank.power_state[0], PowerState::Off);
     }
 
     #[test]
@@ -368,13 +363,13 @@ mod tests {
         let mut bank = one_host(&ServerSpec::vendor_b(true));
         bank.hang(0);
         assert!(!bank.is_running(0));
-        assert_eq!(bank.power_state(0), PowerState::Hung);
+        assert_eq!(bank.power_state[0], PowerState::Hung);
         bank.reset(0);
         assert!(bank.is_running(0));
         // Only a running machine hangs.
         bank.power_off(0);
         bank.hang(0);
-        assert_eq!(bank.power_state(0), PowerState::Off);
+        assert_eq!(bank.power_state[0], PowerState::Off);
     }
 
     #[test]

@@ -25,15 +25,12 @@
 //! * [`sensors`] — the sensor chip's states and its −111 °C reading;
 //! * [`memory`] — bit-flip outcomes and the paper's flip rate;
 //! * [`memtest`] — a Memtest86+-style tester with injectable DRAM defects
-//!   (the indoor diagnosis that condemned host #15);
-//! * [`component`] — the component classes the fault layer attributes
-//!   failures to.
+//!   (the indoor diagnosis that condemned host #15).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod columns;
-pub mod component;
 pub mod memory;
 pub mod memtest;
 pub mod sensors;

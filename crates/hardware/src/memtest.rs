@@ -9,8 +9,6 @@
 //!
 //! Defect models:
 //! * **stuck-at** bits (a cell that always reads 0 or 1);
-//! * **coupling** faults (writing one cell flips a victim cell) — the
-//!   classic pattern-sensitive failure that only some patterns catch;
 //! * **intermittent** cells that fail only every Nth access, which is why
 //!   Memtest runs take "a few hours" to condemn marginal DIMMs.
 
@@ -22,8 +20,6 @@ pub struct DramArray {
     words: Vec<u64>,
     /// Stuck-at faults: `(word, mask, stuck_value_bits)`.
     stuck: Vec<(usize, u64, u64)>,
-    /// Coupling faults: writing `aggressor` flips `victim`'s `mask` bits.
-    coupling: Vec<(usize, usize, u64)>,
     /// Intermittent faults: `(word, mask, period, counter)` — the fault
     /// manifests on every `period`-th read of the word.
     intermittent: Vec<(usize, u64, u32, u32)>,
@@ -35,7 +31,6 @@ impl DramArray {
         DramArray {
             words: vec![0; words],
             stuck: Vec::new(),
-            coupling: Vec::new(),
             intermittent: Vec::new(),
         }
     }
@@ -57,13 +52,6 @@ impl DramArray {
         self.stuck.push((word, mask, value & mask));
     }
 
-    /// Inject a coupling fault: each write to `aggressor` XOR-flips
-    /// `mask` bits of `victim`.
-    pub fn inject_coupling(&mut self, aggressor: usize, victim: usize, mask: u64) {
-        assert!(aggressor < self.words.len() && victim < self.words.len());
-        self.coupling.push((aggressor, victim, mask));
-    }
-
     /// Inject an intermittent fault: every `period`-th read of `word`
     /// returns `mask` bits flipped.
     pub fn inject_intermittent(&mut self, word: usize, mask: u64, period: u32) {
@@ -74,11 +62,6 @@ impl DramArray {
     /// Write a word.
     pub fn write(&mut self, index: usize, value: u64) {
         self.words[index] = value;
-        for &(agg, victim, mask) in &self.coupling {
-            if agg == index {
-                self.words[victim] ^= mask;
-            }
-        }
     }
 
     /// Read a word (through the fault layers).
@@ -128,15 +111,6 @@ pub enum TestPass {
     /// Pseudo-random data, multiple rounds (catches intermittents).
     RandomData,
 }
-
-/// All passes, in execution order.
-pub const ALL_PASSES: [TestPass; 5] = [
-    TestPass::SolidBits,
-    TestPass::Checkerboard,
-    TestPass::WalkingOnes,
-    TestPass::MarchC,
-    TestPass::RandomData,
-];
 
 /// Result of a full run.
 #[derive(Debug, Clone)]
@@ -334,19 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn coupling_fault_caught_by_march() {
-        let mut mem = DramArray::new(128);
-        mem.inject_coupling(40, 41, 0xFF);
-        let report = run_memtest(&mut mem, 0, 4);
-        assert!(!report.passed());
-        assert!(
-            report.errors.iter().any(|e| e.word == 41),
-            "victim cell must miscompare: {:?}",
-            &report.errors[..report.errors.len().min(4)]
-        );
-    }
-
-    #[test]
     fn rare_intermittent_needs_more_rounds() {
         // Fault fires every 23rd read: one round may miss it, many rounds
         // won't. (23 is chosen to dodge the deterministic pass counts.)
@@ -371,10 +332,9 @@ mod tests {
     fn host15_diagnosis_scenario() {
         // The §4.2.1 story: the defective vendor-B host fails its indoor
         // Memtest "within a few hours" — modeled as a marginal DIMM with an
-        // intermittent cell plus a weak coupling fault.
+        // intermittent cell.
         let mut mem = DramArray::new(1024);
         mem.inject_intermittent(700, 1 << 3, 17);
-        mem.inject_coupling(511, 512, 1 << 40);
         let report = run_memtest(&mut mem, 6, 15);
         assert!(!report.passed(), "host #15's DIMM must be condemned");
         assert!(report.errors.len() >= 2);

@@ -20,10 +20,11 @@
 //! the round records an [`CollectOutcome::Unreachable`] outcome carrying the
 //! **gap duration** — how stale that host's mirror has become — and the
 //! collector schedules a *catch-up retry* with exponential backoff and
-//! deterministic jitter drawn from its own derived RNG stream (see
-//! [`retry_delay`]). Retries are recorded with [`AttemptKind::Retry`] so the
-//! scheduled 20-minute cadence accounting (availability, the paper's
-//! numbers) is unaffected by how aggressively the collector chases a gap.
+//! deterministic jitter drawn from its own derived RNG stream (2 minutes
+//! doubling to a 20-minute cap, each delay ±25 %). Retries are recorded
+//! with [`AttemptKind::Retry`] so the scheduled 20-minute cadence
+//! accounting (availability, the paper's numbers) is unaffected by how
+//! aggressively the collector chases a gap.
 //! When contact resumes, the mirror resynchronizes in one round (rsync's
 //! delta transfer ships everything missed) and the healed gap is logged as a
 //! [`CollectionGap`].
@@ -171,15 +172,6 @@ impl MonitoredHost {
             .map(|f| f.len)
     }
 
-    /// Bytes of the file of `log` dated `day` the collector has synced,
-    /// while it is today's: its mirror is the file's first `synced_len`
-    /// bytes.
-    pub fn synced_len(&self, log: Log, day: i64) -> Option<usize> {
-        self.today[log as usize]
-            .filter(|f| f.day == day)
-            .map(|f| f.synced)
-    }
-
     /// How stale this host's mirror is. `None` until the first attempt.
     pub fn staleness(&self, now: SimTime) -> Option<SimDuration> {
         self.fresh_since.map(|since| now - since)
@@ -325,7 +317,7 @@ const RETRY_JITTER_FRAC: f64 = 0.25;
 /// ±`RETRY_JITTER_FRAC` with draws from a per-host RNG stream derived from
 /// the collector's seed — deterministic across runs, decorrelated across
 /// hosts (no thundering herd when a switch comes back).
-pub fn retry_delay(failures: u32) -> SimDuration {
+fn retry_delay(failures: u32) -> SimDuration {
     let shift = failures.saturating_sub(1).min(16);
     let raw = RETRY_BASE.as_secs().saturating_mul(1 << shift);
     SimDuration::secs(raw.min(RETRY_CAP.as_secs()))
@@ -366,11 +358,6 @@ impl Collector {
         }
     }
 
-    /// Running totals over every attempt so far.
-    pub fn counts(&self) -> CollectionCounts {
-        self.counts
-    }
-
     /// The attempts made since the last [`Collector::clear_tick`], in order.
     pub fn tick_records(&self) -> &[CollectRecord] {
         &self.tick
@@ -389,11 +376,6 @@ impl Collector {
     /// The running totals and the healed outages, moved out.
     pub fn into_ledger(self) -> (CollectionCounts, Vec<CollectionGap>) {
         (self.counts, self.gaps)
-    }
-
-    /// When the next catch-up retry is due for this host (if a gap is open).
-    pub fn next_retry(&self, host: u32) -> Option<SimTime> {
-        self.retries.get(&host).map(|s| s.next_attempt)
     }
 
     /// Stop chasing a host (it was decommissioned / taken indoors). Drops
@@ -501,6 +483,20 @@ impl Collector {
 mod tests {
     use super::*;
 
+    /// Bytes of the file of `log` dated `day` the collector has synced,
+    /// while it is today's: its mirror is the file's first `synced_len`
+    /// bytes.
+    fn synced_len(h: &MonitoredHost, log: Log, day: i64) -> Option<usize> {
+        h.today[log as usize]
+            .filter(|f| f.day == day)
+            .map(|f| f.synced)
+    }
+
+    /// When the next catch-up retry is due for `host` (if a gap is open).
+    fn next_retry(c: &Collector, host: u32) -> Option<SimTime> {
+        c.retries.get(&host).map(|s| s.next_attempt)
+    }
+
     fn setup() -> (Collector, MonitoredHost) {
         (Collector::new(&Rng::new(20)), MonitoredHost::new(15))
     }
@@ -539,7 +535,7 @@ mod tests {
                 }
                 other => panic!("{other:?}"),
             }
-            assert_eq!(h.synced_len(Log::Md5sums, 0), Some(len));
+            assert_eq!(synced_len(&h, Log::Md5sums, 0), Some(len));
             assert_eq!(h.log_len(Log::Md5sums, 0), Some(len));
         }
     }
@@ -629,7 +625,7 @@ mod tests {
             "gap measured from the last good round"
         );
         assert_eq!(
-            h.synced_len(Log::Md5sums, 0),
+            synced_len(&h, Log::Md5sums, 0),
             Some("before-failure\n".len())
         );
         assert_eq!(
@@ -646,7 +642,7 @@ mod tests {
             }
         ));
         assert_eq!(
-            h.synced_len(Log::Md5sums, 0),
+            synced_len(&h, Log::Md5sums, 0),
             Some("before-failure\nduring-switch-outage\n".len())
         );
         // …and the healed outage is on the books.
@@ -667,7 +663,7 @@ mod tests {
         let mut delays = Vec::new();
         for _ in 0..6 {
             c.collect(&mut h, false, at);
-            let next = c.next_retry(15).expect("retry scheduled");
+            let next = next_retry(&c, 15).expect("retry scheduled");
             delays.push((next - at).as_secs());
             at = next;
         }
@@ -695,7 +691,7 @@ mod tests {
             let mut h2 = MonitoredHost::new(3);
             c.collect(&mut h, false, SimTime::from_secs(0));
             c.collect(&mut h2, false, SimTime::from_secs(0));
-            (c.next_retry(15).unwrap(), c.next_retry(3).unwrap())
+            (next_retry(&c, 15).unwrap(), next_retry(&c, 3).unwrap())
         };
         let (a15, a3) = run();
         let (b15, b3) = run();
@@ -712,7 +708,7 @@ mod tests {
         assert_eq!(c.due_retries(SimTime::from_secs(600)), vec![15]);
         let out = c.retry_collect(&mut h, true, SimTime::from_secs(600));
         assert!(matches!(out, CollectOutcome::Success { .. }));
-        assert!(c.next_retry(15).is_none(), "state cleared after recovery");
+        assert!(next_retry(&c, 15).is_none(), "state cleared after recovery");
         assert!(c.due_retries(SimTime::from_secs(9999)).is_empty());
         assert_eq!(
             h.staleness(SimTime::from_secs(900)),
@@ -734,7 +730,7 @@ mod tests {
         c.retry_collect(&mut h, false, SimTime::from_secs(1320));
         c.collect(&mut h, false, SimTime::from_secs(2400));
         c.collect(&mut h, true, SimTime::from_secs(3600));
-        let counts = c.counts();
+        let counts = c.counts;
         assert!((counts.availability() - 0.5).abs() < 1e-12);
         assert_eq!((counts.scheduled, counts.scheduled_ok), (4, 2));
         assert_eq!((counts.retries, counts.unreachable), (1, 3));
@@ -742,7 +738,7 @@ mod tests {
         // A new tick forgets the records; the counts keep them.
         c.clear_tick();
         assert!(c.tick_records().is_empty());
-        assert_eq!(c.counts(), counts);
+        assert_eq!(c.counts, counts);
     }
 
     #[test]
@@ -818,14 +814,14 @@ mod tests {
                     proptest::prop_assert!(unreachable, "{:?}", out);
                     want.unreachable += 1;
                 }
-                proptest::prop_assert_eq!(c.counts(), want);
+                proptest::prop_assert_eq!(c.counts, want);
                 // The store reports each log's latest file, and no
                 // earlier day's.
                 for (&(file_day, kind), &(len, synced)) in &oracle {
                     let log = [Log::Sensors, Log::Md5sums][kind];
                     let latest = oracle.keys().filter(|k| k.1 == kind).map(|k| k.0).max();
                     let want = (Some(file_day) == latest).then_some((len, synced));
-                    let got = h.log_len(log, file_day).zip(h.synced_len(log, file_day));
+                    let got = h.log_len(log, file_day).zip(synced_len(&h, log, file_day));
                     proptest::prop_assert_eq!(got, want);
                 }
             }
@@ -842,9 +838,9 @@ mod tests {
         h2.append(Log::Md5sums, 0, log_line_len("bbbb\n"));
         c.collect(&mut h1, true, SimTime::from_secs(0));
         c.collect(&mut h2, true, SimTime::from_secs(0));
-        assert_eq!(h1.synced_len(Log::Md5sums, 0), Some(4));
-        assert_eq!(h1.synced_len(Log::Sensors, 0), Some(5));
-        assert_eq!(h2.synced_len(Log::Md5sums, 0), Some(5));
-        assert_eq!(h2.synced_len(Log::Sensors, 0), None);
+        assert_eq!(synced_len(&h1, Log::Md5sums, 0), Some(4));
+        assert_eq!(synced_len(&h1, Log::Sensors, 0), Some(5));
+        assert_eq!(synced_len(&h2, Log::Md5sums, 0), Some(5));
+        assert_eq!(synced_len(&h2, Log::Sensors, 0), None);
     }
 }

@@ -11,7 +11,7 @@ use crate::slo::{AlertRecord, SloAttainment};
 use crate::CampaignObs;
 
 /// Digest schema tag.
-pub const DIGEST_SCHEMA: &str = "frostlab-health-digest/v1";
+const DIGEST_SCHEMA: &str = "frostlab-health-digest/v1";
 
 /// A rollup bucket ranked by peak temperature.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -27,7 +27,7 @@ pub struct HotBucket {
 /// The serializable digest.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct HealthDigest {
-    /// Schema tag ([`DIGEST_SCHEMA`]).
+    /// Schema tag (`frostlab-health-digest/v1`).
     pub schema: String,
     /// Campaign name.
     pub campaign: String,

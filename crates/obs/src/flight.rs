@@ -16,6 +16,7 @@
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
+use frostlab_simkern::fnv1a;
 use frostlab_simkern::time::SimTime;
 use frostlab_trace::TraceEvent;
 
@@ -99,17 +100,6 @@ impl FlightDump {
     }
 }
 
-/// FNV-1a over `bytes` — the same content-hash family the farm uses for
-/// job keys.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// The live recorder.
 #[derive(Debug)]
 pub struct FlightRecorder {
@@ -171,11 +161,6 @@ impl FlightRecorder {
             at_s: at.as_secs(),
             events,
         });
-    }
-
-    /// Snapshots triggered so far (including elided ones).
-    pub fn triggers(&self) -> u64 {
-        self.triggers
     }
 
     /// Freeze into the retained dumps.
@@ -250,7 +235,7 @@ mod tests {
         rec.ingest(&sample_events(3));
         rec.snapshot("a", SimTime::ZERO);
         rec.snapshot("b", SimTime::ZERO);
-        assert_eq!(rec.triggers(), 2);
+        assert_eq!(rec.triggers, 2);
         assert_eq!(rec.into_dumps().len(), 1);
     }
 

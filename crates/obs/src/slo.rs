@@ -303,11 +303,6 @@ impl SloEngine {
         }
     }
 
-    /// The spec names, in evaluation order.
-    pub fn names(&self) -> Vec<&str> {
-        self.trackers.iter().map(|t| t.spec.name.as_str()).collect()
-    }
-
     /// Fold one tick of observations; returns transitions in spec order.
     pub fn step(&mut self, now: SimTime, feed: &SloFeed) -> Vec<AlertEvent> {
         self.ticks += 1;

@@ -53,7 +53,7 @@ pub fn post_json(
 }
 
 /// One full request/response exchange over a fresh connection.
-pub fn request(
+fn request(
     addr: SocketAddr,
     method: &str,
     target: &str,

@@ -113,7 +113,7 @@ pub struct ExecStats {
 /// Observer hook: called once per finished campaign with `cache_hit`.
 /// The server uses it to tick `jobs_done` on the registry so status
 /// polls see live progress.
-pub type ProgressFn<'a> = dyn Fn(bool) + 'a;
+type ProgressFn<'a> = dyn Fn(bool) + 'a;
 
 /// Run every job of `matrix` (serving repeats from `cache`) and freeze
 /// the servable artifacts.

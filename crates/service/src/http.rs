@@ -15,7 +15,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 
 /// Largest accepted request head (request line + headers), bytes.
-pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// Why a request could not be read off the wire.
 #[derive(Debug)]
@@ -232,7 +232,7 @@ impl Response {
     }
 
     /// Canonical reason phrase for the status codes the API uses.
-    pub fn reason(&self) -> &'static str {
+    fn reason(&self) -> &'static str {
         match self.status {
             200 => "OK",
             202 => "Accepted",

@@ -12,9 +12,13 @@
 //!   code can speak in the paper's own dates ("host #15 failed Mar 7, 04:40").
 //! * [`rng`] — a self-contained xoshiro256++ PRNG with SplitMix64 seeding and
 //!   labelled stream derivation, plus the distribution samplers the substrates
-//!   need (normal, exponential, Weibull, lognormal, Poisson). Implemented here
-//!   rather than via the `rand` crate so that every figure in EXPERIMENTS.md
-//!   stays bit-for-bit reproducible regardless of dependency versions.
+//!   need (normal, exponential, lognormal, Poisson). Implemented here rather
+//!   than via the `rand` crate so that every figure in EXPERIMENTS.md stays
+//!   bit-for-bit reproducible regardless of dependency versions. It also
+//!   holds the workspace's one FNV-1a hash, [`fnv1a_from`]: with the
+//!   standard prime ([`fnv1a`]) it names content-addressed results, and
+//!   with [`PINNED_PRIME`] it derives stream labels and backs the
+//!   golden-hash gates.
 //!
 //! ## Example
 //!
@@ -34,5 +38,5 @@
 pub mod rng;
 pub mod time;
 
-pub use rng::Rng;
+pub use rng::{fnv1a, fnv1a_from, Rng, FNV_OFFSET, PINNED_PRIME};
 pub use time::{Date, DateTime, SimDuration, SimTime, TimeError};

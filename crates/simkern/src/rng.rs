@@ -15,8 +15,8 @@
 //!   perturbs the draws seen by existing consumers.
 //!
 //! Distribution samplers cover everything the substrates need: uniform,
-//! Bernoulli, normal (polar Box–Muller), exponential, Weibull, lognormal and
-//! Poisson.
+//! Bernoulli, normal (polar Box–Muller), exponential, lognormal and
+//! Poisson. [`fnv1a_from`] is the workspace's one FNV-1a hash.
 
 /// SplitMix64: a tiny, high-quality 64-bit mixer used for seeding.
 #[derive(Debug, Clone)]
@@ -40,12 +40,31 @@ impl SplitMix64 {
     }
 }
 
-/// FNV-1a hash of a label, used to bind sub-stream derivation to names.
-fn fnv1a(label: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1_0000_0000_01b3);
+/// 64-bit FNV-1a's offset basis: the state every hash starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a's prime, `2⁴⁰ + 0x1b3`.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// The multiplier `2⁴⁸ + 0x1b3` (the FNV prime with two more zero digits)
+/// that [`Rng::derive`] hashes its labels with and the golden-hash gates
+/// digest artifacts with. Every RNG stream and golden constant depends on
+/// it, so it never changes.
+pub const PINNED_PRIME: u64 = 0x1_0000_0000_01b3;
+
+/// Standard 64-bit FNV-1a of `bytes`: the content hash of job keys and
+/// flight-recorder dumps.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_from(FNV_PRIME, FNV_OFFSET, bytes)
+}
+
+/// FNV-1a with multiplier `prime`, continued from state `h`: the hash of a
+/// concatenation is this fold over its parts, so a stream can be hashed as
+/// it is made.
+pub fn fnv1a_from(prime: u64, mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(prime);
     }
     h
 }
@@ -91,7 +110,7 @@ impl Rng {
     /// hash, so the derived stream does not depend on how many numbers the
     /// parent has drawn — only on the parent's identity and the label.
     pub fn derive(&self, label: &str) -> Rng {
-        Rng::new(self.identity ^ fnv1a(label))
+        Rng::new(self.identity ^ fnv1a_from(PINNED_PRIME, FNV_OFFSET, label.as_bytes()))
     }
 
     /// Next raw 64-bit value (xoshiro256++).
@@ -124,11 +143,6 @@ impl Rng {
                 return x;
             }
         }
-    }
-
-    /// Uniform `f64` in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.f64()
     }
 
     /// Uniform `u64` in `[0, n)` using Lemire's rejection method.
@@ -201,15 +215,6 @@ impl Rng {
         -self.f64_open().ln() / lambda
     }
 
-    /// Weibull variate with scale `lambda` and shape `k` (inverse-CDF).
-    pub fn weibull(&mut self, scale: f64, shape: f64) -> f64 {
-        assert!(
-            scale > 0.0 && shape > 0.0,
-            "weibull parameters must be positive"
-        );
-        scale * (-self.f64_open().ln()).powf(1.0 / shape)
-    }
-
     /// Lognormal variate: `exp(N(mu, sigma))`.
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
         self.normal(mu, sigma).exp()
@@ -248,14 +253,6 @@ impl Rng {
                 return k;
             }
             k += 1;
-        }
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
         }
     }
 
@@ -391,22 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn weibull_mean_shape_one_is_exponential() {
-        let mut rng = Rng::new(13);
-        let (mean, _) = sample_mean_var(&mut rng, 100_000, |r| r.weibull(3.0, 1.0));
-        assert!((mean - 3.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn weibull_shape_two_mean() {
-        // Mean of Weibull(scale, k=2) is scale * Gamma(1.5) = scale * sqrt(pi)/2.
-        let mut rng = Rng::new(14);
-        let (mean, _) = sample_mean_var(&mut rng, 100_000, |r| r.weibull(2.0, 2.0));
-        let expect = 2.0 * (std::f64::consts::PI).sqrt() / 2.0;
-        assert!((mean - expect).abs() < 0.05, "mean {mean} expect {expect}");
-    }
-
-    #[test]
     fn poisson_small_lambda_moments() {
         let mut rng = Rng::new(15);
         let (mean, var) = sample_mean_var(&mut rng, 100_000, |r| r.poisson(4.0) as f64);
@@ -436,21 +417,6 @@ mod tests {
         let mut rng = Rng::new(18);
         let hits = (0..100_000).filter(|_| rng.chance(0.3)).count();
         assert!((hits as f64 / 100_000.0 - 0.3).abs() < 0.01);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = Rng::new(19);
-        let mut xs: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(
-            xs,
-            (0..100).collect::<Vec<_>>(),
-            "astronomically unlikely identity"
-        );
     }
 
     #[test]

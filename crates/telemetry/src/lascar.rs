@@ -62,8 +62,6 @@ impl Default for LascarConfig {
 pub struct LascarLogger {
     config: LascarConfig,
     rng: Rng,
-    /// First instant the logger exists on site.
-    deployed_at: SimTime,
     next_due: SimTime,
     temp: TimeSeries,
     rh: TimeSeries,
@@ -79,8 +77,6 @@ pub struct LascarLogger {
     rh_bias_pct: f64,
     /// Active indoor excursion, if any: `(start, end)`.
     excursion: Option<(SimTime, SimTime)>,
-    /// All excursions taken (ground truth for validating outlier removal).
-    excursions: Vec<(SimTime, SimTime)>,
 }
 
 /// Office conditions the logger sees while being read out indoors.
@@ -93,7 +89,6 @@ impl LascarLogger {
     pub fn new(config: LascarConfig, deployed_at: SimTime, seed_rng: &Rng) -> Self {
         LascarLogger {
             rng: seed_rng.derive("lascar"),
-            deployed_at,
             next_due: deployed_at,
             temp: TimeSeries::new(),
             rh: TimeSeries::new(),
@@ -101,14 +96,8 @@ impl LascarLogger {
             temp_bias_k: 0.0,
             rh_bias_pct: 0.0,
             excursion: None,
-            excursions: Vec::new(),
             config,
         }
-    }
-
-    /// Deployment instant.
-    pub fn deployed_at(&self) -> SimTime {
-        self.deployed_at
     }
 
     /// Begin a manual USB readout: the logger goes indoors for `duration`,
@@ -116,13 +105,7 @@ impl LascarLogger {
     pub fn begin_readout(&mut self, at: SimTime, duration: SimDuration) {
         let window = (at, at + duration);
         self.excursion = Some(window);
-        self.excursions.push(window);
         self.since_readout = 0;
-    }
-
-    /// Ground-truth list of indoor excursions.
-    pub fn excursions(&self) -> &[(SimTime, SimTime)] {
-        &self.excursions
     }
 
     fn quantize(&self, v: f64) -> f64 {
@@ -152,12 +135,7 @@ impl LascarLogger {
     /// was taken; surfaces the series' ordering error instead of panicking
     /// (the logger's own clock only moves forward, so an error here means a
     /// caller rewound time on a shared series).
-    pub fn try_poll(
-        &mut self,
-        t: SimTime,
-        tent_temp: f64,
-        tent_rh: f64,
-    ) -> Result<bool, SeriesError> {
+    fn try_poll(&mut self, t: SimTime, tent_temp: f64, tent_rh: f64) -> Result<bool, SeriesError> {
         if t < self.next_due || self.since_readout >= self.config.capacity {
             return Ok(false);
         }
@@ -199,7 +177,12 @@ impl LascarLogger {
         Ok(true)
     }
 
-    /// [`try_poll`](Self::try_poll), panicking on a series ordering error.
+    /// If a sample is due at or before `t`, record it. `tent_temp`/`tent_rh`
+    /// are the enclosure's current true air state. Returns whether a sample
+    /// was taken.
+    ///
+    /// # Panics
+    /// Panics if a caller rewound time on a shared series.
     pub fn poll(&mut self, t: SimTime, tent_temp: f64, tent_rh: f64) -> bool {
         self.try_poll(t, tent_temp, tent_rh)
             .unwrap_or_else(|e| panic!("{e}"))
@@ -294,7 +277,6 @@ mod tests {
         // Before and after: tent air.
         assert!(temps[..12].iter().all(|&t| t < 0.0));
         assert!(temps[20..].iter().all(|&t| t < 0.0));
-        assert_eq!(l.excursions().len(), 1);
     }
 
     #[test]

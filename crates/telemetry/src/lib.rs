@@ -19,9 +19,7 @@
 //! * [`technoline`] — the Technoline Cost Control wall-plug energy meter;
 //! * [`outlier`] — the spike filter used to clean the indoor excursions out
 //!   of the published series;
-//! * [`export`] — CSV emission for the figure harness;
-//! * [`webcam`] — the terrace webcam from the paper's footnote 1, rendered
-//!   as hourly ASCII frames of the simulated scene.
+//! * [`export`] — CSV emission for the figure harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +29,6 @@ pub mod lascar;
 pub mod outlier;
 pub mod series;
 pub mod technoline;
-pub mod webcam;
 
 pub use lascar::{LascarConfig, LascarLogger};
 pub use series::{SeriesError, TimeSeries};

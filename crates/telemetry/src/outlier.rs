@@ -47,7 +47,7 @@ fn median(xs: &mut [f64]) -> f64 {
 
 impl SpikeFilter {
     /// Return a boolean mask: `true` = outlier.
-    pub fn mask(&self, series: &TimeSeries) -> Vec<bool> {
+    fn mask(&self, series: &TimeSeries) -> Vec<bool> {
         let pts = series.points();
         let n = pts.len();
         let mut mask = vec![false; n];

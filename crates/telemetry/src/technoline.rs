@@ -37,7 +37,7 @@ impl CostControlMeter {
     }
 
     /// Read the instantaneous-power display for a true draw of `true_w`.
-    pub fn read_power_w(&mut self, true_w: f64) -> f64 {
+    fn read_power_w(&mut self, true_w: f64) -> f64 {
         let sigma = (true_w * self.relative_err).max(self.floor_err_w * 0.5);
         let noisy = (true_w + self.rng.normal(0.0, sigma)).max(0.0);
         (noisy / self.resolution_w).round() * self.resolution_w

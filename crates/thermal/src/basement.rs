@@ -41,22 +41,6 @@ impl Basement {
             phase: 0.0,
         }
     }
-
-    /// Custom setpoints (used by the ablation studies).
-    pub fn with_setpoints(temp_c: f64, rh_pct: f64) -> Self {
-        Basement {
-            setpoint_c: temp_c,
-            rh_setpoint_pct: rh_pct,
-            air_temp_c: temp_c,
-            rh_pct,
-            ..Basement::new()
-        }
-    }
-
-    /// The HVAC temperature setpoint.
-    pub fn setpoint_c(&self) -> f64 {
-        self.setpoint_c
-    }
 }
 
 impl Default for Basement {
@@ -131,15 +115,5 @@ mod tests {
         assert!(min > 18.0 && max < 27.0, "band [{min}, {max}]");
         // And it is *stable*: total swing under 2 K.
         assert!(max - min < 2.0, "swing {}", max - min);
-    }
-
-    #[test]
-    fn custom_setpoints() {
-        let mut b = Basement::with_setpoints(18.0, 50.0);
-        for _ in 0..1_000 {
-            b.step(60.0, &outside_blizzard(), 0.0);
-        }
-        assert!((b.state().air_temp_c - 18.0).abs() < 1.0);
-        assert!((b.state().air_rh_pct - 50.0).abs() < 3.0);
     }
 }

@@ -152,11 +152,6 @@ impl Tent {
         self.config = config;
     }
 
-    /// Physical parameters.
-    pub fn params(&self) -> &TentParams {
-        &self.params
-    }
-
     /// Total open ventilation area for the current configuration, m².
     fn vent_area(&self) -> f64 {
         let p = &self.params;
@@ -171,7 +166,7 @@ impl Tent {
     }
 
     /// Total loss conductance UA (W/K) for the given outside conditions.
-    pub fn ua_total(&self, wind_ms: f64, delta_t_k: f64) -> f64 {
+    fn ua_total(&self, wind_ms: f64, delta_t_k: f64) -> f64 {
         let p = &self.params;
         let fabric = if self.config.inner_removed {
             p.ua_fabric_single_w_k
@@ -190,7 +185,7 @@ impl Tent {
     }
 
     /// Solar heat input (W) for the given irradiance.
-    pub fn solar_gain_w(&self, ghi_w_m2: f64) -> f64 {
+    fn solar_gain_w(&self, ghi_w_m2: f64) -> f64 {
         let alpha = if self.config.foil {
             self.params.absorptance_foil
         } else {

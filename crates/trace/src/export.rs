@@ -13,7 +13,7 @@ use crate::metrics::MetricsSnapshot;
 use crate::tracer::CampaignTrace;
 
 /// JSONL schema tag written in the header line.
-pub const JSONL_SCHEMA: &str = "frostlab-trace/v1";
+const JSONL_SCHEMA: &str = "frostlab-trace/v1";
 
 fn fields_object(event: &TraceEvent) -> Value {
     Value::Object(

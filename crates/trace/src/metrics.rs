@@ -30,7 +30,7 @@ pub struct MetricKey {
 
 impl MetricKey {
     /// A flat (unlabeled) key.
-    pub fn flat(name: &str) -> MetricKey {
+    fn flat(name: &str) -> MetricKey {
         MetricKey {
             name: name.to_string(),
             labels: Vec::new(),
@@ -38,7 +38,7 @@ impl MetricKey {
     }
 
     /// A labeled key.
-    pub fn labeled(name: &str, labels: &[(&str, &str)]) -> MetricKey {
+    fn labeled(name: &str, labels: &[(&str, &str)]) -> MetricKey {
         MetricKey {
             name: name.to_string(),
             labels: labels

@@ -60,7 +60,7 @@ impl JobConfig {
     /// Calibration: the paper estimates ≈ 3.2 × 10⁹ page ops over 27 627
     /// runs ⇒ ≈ 116 k page ops per run ⇒ passes ≈ 1 over a ~450 MB tree
     /// with 4 KiB pages.
-    pub fn page_ops_per_run(&self) -> u64 {
+    fn page_ops_per_run(&self) -> u64 {
         ((self.modeled_tree_bytes as f64 / self.page_bytes as f64) * self.memory_passes) as u64
     }
 }
@@ -217,10 +217,10 @@ impl JobRunner {
         if bit_flips == 0 {
             // The real hosts recomputed this every cycle and overwrote the
             // previous tarball; the deterministic pipeline reproduces the
-            // golden bytes exactly (validated at construction and by
-            // `run_full`), so the fast path returns the golden hash without
-            // re-deriving a byte-identical archive. Campaigns execute tens
-            // of thousands of clean runs; this is what makes them cheap.
+            // golden bytes exactly (the template made them with the same
+            // compress), so the fast path returns the golden hash without
+            // re-deriving a byte-identical archive. Campaigns execute tens of thousands of
+            // clean runs; this is what makes them cheap.
             return RunOutcome {
                 hash_ok: true,
                 stored_archive: None,
@@ -230,9 +230,9 @@ impl JobRunner {
             };
         }
         // The pipeline is deterministic: recompressing `tar_bytes` always
-        // reproduces `clean_compressed` byte-for-byte (validated at
-        // template construction and by `run_full`), and the scheduled bit
-        // flips land in the *buffered output*. Start from the cached bytes
+        // reproduces `clean_compressed` byte-for-byte (the template made
+        // it with the same compress), and the scheduled bit flips land in the
+        // *buffered output*. Start from the cached bytes
         // instead of burning a real compress per faulted run — at fleet
         // scale a single day sees hundreds of them. The copy lives only
         // until it is hashed: a stored archive keeps the flips instead.
@@ -257,14 +257,6 @@ impl JobRunner {
             duration_secs: self.duration_secs,
             hash,
         }
-    }
-
-    /// Execute one cycle through the *full* pipeline unconditionally
-    /// (benchmarks and validation; the orchestrator uses [`JobRunner::run`]).
-    pub fn run_full(&mut self, bit_flips: u32) -> RunOutcome {
-        let packed = compress(&self.tar_bytes, self.config.block_size);
-        debug_assert_eq!(&packed, self.clean_compressed.as_ref());
-        self.run(bit_flips)
     }
 }
 

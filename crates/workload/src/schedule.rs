@@ -9,7 +9,7 @@ use frostlab_simkern::rng::Rng;
 use frostlab_simkern::time::{SimDuration, SimTime};
 
 /// Jitter bound from the paper: 0–119 seconds.
-pub const MAX_JITTER_SECS: i64 = 119;
+const MAX_JITTER_SECS: i64 = 119;
 
 /// The periodic schedule of one host's synthetic load.
 #[derive(Debug, Clone)]
@@ -38,11 +38,6 @@ impl LoadSchedule {
         let start = self.next_cycle_start + jitter;
         self.next_cycle_start += self.period;
         start
-    }
-
-    /// Peek the upcoming cycle boundary without consuming it.
-    pub fn next_cycle_start(&self) -> SimTime {
-        self.next_cycle_start
     }
 
     /// Skip cycles while the host is hung/off; resumes at the first cycle

@@ -98,24 +98,6 @@ impl WorkloadStats {
     pub fn total_page_ops(&self) -> u64 {
         self.total_page_ops
     }
-
-    /// Empirical wrong-hash ratio per run.
-    pub fn error_ratio(&self) -> f64 {
-        if self.total_runs == 0 {
-            0.0
-        } else {
-            self.hash_errors.len() as f64 / self.total_runs as f64
-        }
-    }
-
-    /// Empirical per-page-op fault ratio, the paper's "one in 570 million".
-    pub fn fault_ratio_per_page_op(&self) -> Option<f64> {
-        if self.total_page_ops == 0 || self.hash_errors.is_empty() {
-            None
-        } else {
-            Some(self.hash_errors.len() as f64 / self.total_page_ops as f64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +127,7 @@ mod tests {
         assert_eq!(per_host[&7], 1);
         assert_eq!(per_host[&12], 3);
         // Exposure ≈ 3.2e9, ratio ≈ 1 / 640e6 (paper: ~1 / 570e6).
-        let ratio = s.fault_ratio_per_page_op().unwrap();
+        let ratio = s.hash_errors().len() as f64 / s.total_page_ops() as f64;
         assert!((1.0 / 9e8..1.0 / 4e8).contains(&ratio), "ratio {ratio}");
     }
 
@@ -153,8 +135,6 @@ mod tests {
     fn empty_stats() {
         let s = WorkloadStats::new();
         assert_eq!(s.total_runs(), 0);
-        assert_eq!(s.error_ratio(), 0.0);
-        assert_eq!(s.fault_ratio_per_page_op(), None);
     }
 
     #[test]

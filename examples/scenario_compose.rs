@@ -7,8 +7,8 @@
 //! 2. `replace("weather", …)` — the §4.1 cold snap never relents: a
 //!    custom phase pins the outside air at −22 °C for the whole window;
 //! 3. `insert_after("enclosure-thermal", …)` — a custom observer phase
-//!    counts how long the tent spends below freezing, and
-//!    `wrap`/`with_timing` meter where the wall-clock goes.
+//!    counts how long the tent spends below freezing, and `with_timing`
+//!    meters where the wall-clock goes.
 //!
 //! ```sh
 //! cargo run --release --example scenario_compose [seed]

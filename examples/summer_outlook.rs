@@ -5,24 +5,20 @@
 //!
 //! This example extends the campaign through a full Helsinki summer in
 //! stochastic mode, compares failure intensities by season (Arrhenius says
-//! summer should be *worse* than winter for the tent group), summarizes a
-//! Kaplan–Meier survival view, and compares wet-side vs air-side economizer
-//! feasibility across the year.
+//! summer should be *worse* than winter for the tent group), and reports
+//! how much of the year an air-side economizer runs free.
 //!
 //! ```sh
 //! cargo run --release --example summer_outlook [campaigns]
 //! ```
 
 use frostlab::analysis::report::Table;
-use frostlab::analysis::survival::{kaplan_meier, mtbf_hours, survival_at, Observation};
 use frostlab::climate::presets;
 use frostlab::core::config::{ExperimentConfig, FaultMode};
 use frostlab::core::ScenarioBuilder;
 use frostlab::energy::economizer::{simulate_year, EconomizerConfig};
-use frostlab::energy::wetside::{simulate_year_wetside, WetSideConfig};
 use frostlab::faults::types::FaultKind;
 use frostlab::simkern::time::SimTime;
-use frostlab::workload::stats::Placement;
 
 fn main() {
     let campaigns: u64 = std::env::args()
@@ -35,7 +31,6 @@ fn main() {
 
     let mut winter_hangs = 0usize; // Feb 19 – May 13 (the paper's window)
     let mut summer_hangs = 0usize; // May 13 – Aug 31 (the continuation)
-    let mut observations: Vec<Observation> = Vec::new();
     let boundary = SimTime::from_date(2010, 5, 13);
     let summer_end = SimTime::from_date(2010, 8, 31);
 
@@ -53,20 +48,6 @@ fn main() {
                 } else {
                     summer_hangs += 1;
                 }
-            }
-        }
-        // Survival observations: tent hosts, time-to-first-failure.
-        for h in r.hosts.values().filter(|h| h.placement == Placement::Tent) {
-            let start = h.installed_at;
-            match h.failures.first() {
-                Some(&f) => observations.push(Observation {
-                    hours: (f - start).as_hours_f64().max(0.1),
-                    failed: true,
-                }),
-                None => observations.push(Observation {
-                    hours: (summer_end - start).as_hours_f64(),
-                    failed: false,
-                }),
             }
         }
     }
@@ -90,20 +71,7 @@ fn main() {
     ]);
     println!("{t}");
 
-    let curve = kaplan_meier(&observations);
-    println!(
-        "tent-host survival (Kaplan–Meier over {} machine-histories):",
-        observations.len()
-    );
-    for hours in [500.0, 1500.0, 3000.0, 4500.0] {
-        println!("  S({:>4.0} h) = {:.3}", hours, survival_at(&curve, hours));
-    }
-    match mtbf_hours(&observations) {
-        Some(mtbf) => println!("  crude MTBF: {mtbf:.0} machine-hours\n"),
-        None => println!("  no failures observed\n"),
-    }
-
-    // Economizer feasibility across the whole year, both technologies.
+    // Air-side economizer feasibility across the whole year.
     let mut t = Table::new(
         "economizer feasibility, full year in Helsinki",
         &["technology", "free-cooling %", "savings vs mechanical"],
@@ -113,22 +81,12 @@ fn main() {
         &EconomizerConfig::default(),
         3,
     );
-    let wet = simulate_year_wetside(
-        presets::helsinki_winter_2010(),
-        &WetSideConfig::default(),
-        3,
-    );
     t.row(&[
         "air-side (the tent, scaled up)".into(),
         format!("{:.1} %", 100.0 * air.free_fraction()),
         format!("{:.1} %", 100.0 * air.savings()),
     ]);
-    t.row(&[
-        "wet-side (Intel's earlier preference)".into(),
-        format!("{:.1} %", 100.0 * wet.free_fraction()),
-        format!("{:.1} %", 100.0 * wet.savings()),
-    ]);
     println!("{t}");
     println!("reading: in Helsinki the dry-bulb is cold enough that plain outside air");
-    println!("covers most of the year — the tent's answer to Intel's wet-side argument.");
+    println!("covers most of the year.");
 }

@@ -20,20 +20,12 @@ use frostlab::core::fleet::FleetSpec;
 use frostlab::core::results::ExperimentResults;
 use frostlab::core::ScenarioBuilder;
 use frostlab::ensemble::sweep;
+use frostlab::simkern::{fnv1a_from, FNV_OFFSET, PINNED_PRIME};
 
-/// FNV-1a 64-bit over the artifact bytes (same gate as `golden_hash`).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_from(0xcbf2_9ce4_8422_2325, bytes)
-}
-
-/// FNV-1a continued from state `h`: the hash of a concatenation is this
-/// fold over its parts, so a stream can be hashed as it is made.
-fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_0000_01b3);
-    }
-    h
+/// The golden gates' digest: FNV-1a with the pinned multiplier, the hash
+/// every RNG stream label uses too.
+fn digest(bytes: &[u8]) -> u64 {
+    fnv1a_from(PINNED_PRIME, FNV_OFFSET, bytes)
 }
 
 /// Golden hash of a single 1,000-host, one-day stochastic campaign's
@@ -54,13 +46,13 @@ const KILOHOST_ENSEMBLE_GOLDEN: u64 = 0xb38f13e9b3615230;
 /// per-attempt records, so a tap folds each tick's lines as they are made.
 /// Returns the results, the stream's FNV-1a and its first 400 bytes.
 fn run_hashing_collection(builder: ScenarioBuilder) -> (ExperimentResults, u64, String) {
-    let stream = Rc::new(RefCell::new((fnv1a(b""), String::new())));
+    let stream = Rc::new(RefCell::new((FNV_OFFSET, String::new())));
     let tap = Rc::clone(&stream);
     let results = support::tap_collection(builder, move |records| {
         let (h, head) = &mut *tap.borrow_mut();
         for r in records {
             let line = format!("{r:?}\n");
-            *h = fnv1a_from(*h, line.as_bytes());
+            *h = fnv1a_from(PINNED_PRIME, *h, line.as_bytes());
             if head.len() < 400 {
                 head.push_str(&line);
             }
@@ -70,7 +62,7 @@ fn run_hashing_collection(builder: ScenarioBuilder) -> (ExperimentResults, u64, 
     .run();
     let (records_hash, head) = stream.take();
     let hash = results.collection_gaps.iter().fold(records_hash, |h, g| {
-        fnv1a_from(h, format!("{g:?}\n").as_bytes())
+        fnv1a_from(PINNED_PRIME, h, format!("{g:?}\n").as_bytes())
     });
     (results, hash, head)
 }
@@ -92,13 +84,13 @@ fn kilohost_campaign_matches_golden() {
     if std::env::var_os("GOLDEN_PRINT").is_some() {
         println!(
             "KILOHOST_SUMMARY_GOLDEN = {:#018x}",
-            fnv1a(summary.as_bytes())
+            digest(summary.as_bytes())
         );
         println!("KILOHOST_COLLECTION_GOLDEN = {collection_hash:#018x}");
         return;
     }
     assert_eq!(
-        fnv1a(summary.as_bytes()),
+        digest(summary.as_bytes()),
         KILOHOST_SUMMARY_GOLDEN,
         "1,000-host campaign summary drifted:\n{}",
         &summary[..summary.len().min(400)]
@@ -123,11 +115,11 @@ fn kilohost_ensemble_is_thread_count_invariant() {
     let t4 = sweep(4);
     assert_eq!(t1, t4, "thread-count invariance violated at 1,000 hosts");
     if std::env::var_os("GOLDEN_PRINT").is_some() {
-        println!("KILOHOST_ENSEMBLE_GOLDEN = {:#018x}", fnv1a(t1.as_bytes()));
+        println!("KILOHOST_ENSEMBLE_GOLDEN = {:#018x}", digest(t1.as_bytes()));
         return;
     }
     assert_eq!(
-        fnv1a(t1.as_bytes()),
+        digest(t1.as_bytes()),
         KILOHOST_ENSEMBLE_GOLDEN,
         "1,000-host ensemble invariant summary drifted:\n{t1}"
     );

@@ -22,21 +22,12 @@ use frostlab::core::config::{ExperimentConfig, FaultMode};
 use frostlab::core::results::ExperimentResults;
 use frostlab::core::{figures, tables, ScenarioBuilder};
 use frostlab::ensemble::sweep;
+use frostlab::simkern::{fnv1a_from, FNV_OFFSET, PINNED_PRIME};
 
-/// FNV-1a 64-bit over the artifact bytes: stable, dependency-free, and
-/// plenty to detect any byte-level drift.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_from(0xcbf2_9ce4_8422_2325, bytes)
-}
-
-/// FNV-1a continued from state `h`: the hash of a concatenation is this
-/// fold over its parts, so a stream can be hashed as it is made.
-fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_0000_01b3);
-    }
-    h
+/// The golden gates' digest: FNV-1a with the pinned multiplier, the hash
+/// every RNG stream label uses too.
+fn digest(bytes: &[u8]) -> u64 {
+    fnv1a_from(PINNED_PRIME, FNV_OFFSET, bytes)
 }
 
 /// `(artifact name, golden FNV-1a hash)` captured from the pre-refactor
@@ -65,13 +56,13 @@ const ENSEMBLE_GOLDEN: u64 = 0xa635290fa36c7ef4;
 /// per-attempt records, so a tap folds each tick's lines as they are made.
 /// Returns the results, the stream's FNV-1a and its first 400 bytes.
 fn run_hashing_collection(builder: ScenarioBuilder) -> (ExperimentResults, u64, String) {
-    let stream = Rc::new(RefCell::new((fnv1a(b""), String::new())));
+    let stream = Rc::new(RefCell::new((FNV_OFFSET, String::new())));
     let tap = Rc::clone(&stream);
     let results = support::tap_collection(builder, move |records| {
         let (h, head) = &mut *tap.borrow_mut();
         for r in records {
             let line = format!("{r:?}\n");
-            *h = fnv1a_from(*h, line.as_bytes());
+            *h = fnv1a_from(PINNED_PRIME, *h, line.as_bytes());
             if head.len() < 400 {
                 head.push_str(&line);
             }
@@ -81,7 +72,7 @@ fn run_hashing_collection(builder: ScenarioBuilder) -> (ExperimentResults, u64, 
     .run();
     let (records_hash, head) = stream.take();
     let hash = results.collection_gaps.iter().fold(records_hash, |h, g| {
-        fnv1a_from(h, format!("{g:?}\n").as_bytes())
+        fnv1a_from(PINNED_PRIME, h, format!("{g:?}\n").as_bytes())
     });
     (results, hash, head)
 }
@@ -113,7 +104,7 @@ fn paper_artifacts() -> Vec<(&'static str, u64, String)> {
     ];
     let mut hashed: Vec<_> = artifacts
         .into_iter()
-        .map(|(name, body)| (name, fnv1a(body.as_bytes()), body))
+        .map(|(name, body)| (name, digest(body.as_bytes()), body))
         .collect();
     hashed.push(("collection_records", collection_hash, collection_head));
     hashed
@@ -160,11 +151,11 @@ fn ensemble_sweep_matches_golden_at_one_and_four_threads() {
     let t4 = ensemble_invariant(4);
     assert_eq!(t1, t4, "thread-count invariance violated");
     if std::env::var_os("GOLDEN_PRINT").is_some() {
-        println!("ENSEMBLE_GOLDEN = {:#018x}", fnv1a(t1.as_bytes()));
+        println!("ENSEMBLE_GOLDEN = {:#018x}", digest(t1.as_bytes()));
         return;
     }
     assert_eq!(
-        fnv1a(t1.as_bytes()),
+        digest(t1.as_bytes()),
         ENSEMBLE_GOLDEN,
         "ensemble invariant summary drifted:\n{t1}"
     );

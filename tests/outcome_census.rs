@@ -25,7 +25,7 @@ use frostlab::simkern::time::SimDuration;
 /// gives the same table and a decision for each variant not in it.
 const REACHED: &[&str] = &[
     "AttemptKind: Retry Scheduled",
-    "ChaosEvent: HostHang HostReboot JitterBurst LinkLossBurst SensorFreeze SwitchDeath",
+    "ChaosEvent: HostHang HostReboot LinkLossBurst SensorFreeze SwitchDeath",
     "CollectOutcome: Success Unreachable",
     "FaultKind: DiskPendingSector MemoryBitFlip SensorChipErratic SwitchFailure TransientSystemFailure",
     "IncidentKind: CollectionStale HostHang SensorFault SwitchFailure",
@@ -75,7 +75,6 @@ fn campaigns_reach_exactly_the_census_table() {
         host_hang_every: SimDuration::days(10),
         host_reboot_every: SimDuration::days(10),
         sensor_freeze_every: SimDuration::days(12),
-        ..ChaosConfig::paper_like()
     };
     let campaigns = [
         // The scripted paper campaign that `golden_hash` pins.

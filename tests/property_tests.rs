@@ -221,31 +221,6 @@ proptest! {
     }
 
     #[test]
-    fn kaplan_meier_monotone_and_bounded(
-        obs in proptest::collection::vec((1.0f64..5000.0, any::<bool>()), 1..60),
-    ) {
-        use frostlab::analysis::survival::{kaplan_meier, Observation};
-        let data: Vec<Observation> = obs
-            .into_iter()
-            .map(|(hours, failed)| Observation { hours, failed })
-            .collect();
-        let curve = kaplan_meier(&data);
-        let mut prev = 1.0;
-        for step in &curve {
-            prop_assert!(step.survival <= prev + 1e-12);
-            prop_assert!((0.0..=1.0).contains(&step.survival));
-            prev = step.survival;
-        }
-    }
-
-    #[test]
-    fn wet_bulb_never_exceeds_dry_bulb(t in -25.0f64..45.0, rh in 5.0f64..99.0) {
-        let wb = frostlab::energy::wetside::wet_bulb_c(t, rh);
-        prop_assert!(wb <= t, "wb {wb} > t {t} at rh {rh}");
-        prop_assert!(wb > t - 30.0, "absurd depression: {wb} at t {t}, rh {rh}");
-    }
-
-    #[test]
     fn huffman_never_beats_entropy(
         data in proptest::collection::vec(0u8..8, 64..2048),
     ) {
